@@ -20,7 +20,11 @@ from repro.core.bgpc.vertex import (
     make_vertex_color_kernel,
     make_vertex_removal_kernel,
 )
-from repro.core.driver import run_sequential, run_speculative
+from repro.core.driver import (
+    require_sequential_backend,
+    run_sequential,
+    run_speculative,
+)
 from repro.core.plan import AlgorithmSpec, build_algorithm_table, resolve_schedule
 from repro.graph.bipartite import BipartiteGraph
 from repro.machine.cost import CostModel
@@ -127,7 +131,9 @@ def color_bgpc(
         One of :data:`BGPC_ALGORITHMS` (``"V-V"`` … ``"N2-N2"``), any
         alias or novel spec the schedule grammar admits (``"v-n∞"``,
         ``"N1-N2-B1"`` — see :meth:`repro.core.plan.ScheduleSpec.parse`),
-        or an already-structured spec object.
+        or an already-structured spec object.  ``"sequential"`` runs
+        :func:`sequential_bgpc` (``backend="sim"`` only; ``threads`` and
+        ``max_iterations`` do not apply).
     threads:
         Simulated core count (the paper sweeps 2, 4, 8, 16).
     cost:
@@ -166,6 +172,9 @@ def color_bgpc(
         timing (``backend="sim"``) or measured wall seconds
         (``backend="numpy"``).
     """
+    if algorithm == "sequential":
+        require_sequential_backend(backend, backend_options)
+        return sequential_bgpc(bg, cost=cost, policy=policy, order=order, tracer=tracer)
     spec = resolve_schedule(algorithm, BGPC_ALGORITHMS, problem="BGPC")
     cost = cost if cost is not None else CostModel()
     work_graph, perm = _apply_order(bg, order)

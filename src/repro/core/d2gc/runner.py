@@ -15,7 +15,11 @@ from repro.core.d2gc.vertex import (
     make_vertex_color_kernel,
     make_vertex_removal_kernel,
 )
-from repro.core.driver import run_sequential, run_speculative
+from repro.core.driver import (
+    require_sequential_backend,
+    run_sequential,
+    run_speculative,
+)
 from repro.core.plan import resolve_schedule
 from repro.graph.unipartite import Graph
 from repro.machine.cost import CostModel
@@ -120,8 +124,12 @@ def color_d2gc(
     Same parameters and guarantees as :func:`repro.core.bgpc.color_bgpc`,
     over a unipartite graph — including the ``backend`` switch between the
     simulated machine and the vectorized NumPy fast path, and the
-    ``tracer`` hook into :mod:`repro.obs`.
+    ``tracer`` hook into :mod:`repro.obs`.  ``algorithm="sequential"``
+    runs :func:`sequential_d2gc` (``backend="sim"`` only).
     """
+    if algorithm == "sequential":
+        require_sequential_backend(backend, backend_options)
+        return sequential_d2gc(g, cost=cost, policy=policy, order=order, tracer=tracer)
     spec = resolve_schedule(algorithm, D2GC_ALGORITHMS, problem="D2GC")
     cost = cost if cost is not None else CostModel()
     work_graph, perm = _apply_order(g, order)

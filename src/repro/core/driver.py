@@ -26,7 +26,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.core.backends import backend_names, get_backend
+from repro.core.backends import _reject_options, backend_names, get_backend
 from repro.core.plan import INF_ITERS, AlgorithmSpec, ScheduleSpec
 from repro.core.policies import FirstFit, get_policy
 from repro.errors import ColoringError
@@ -40,6 +40,7 @@ __all__ = [
     "BACKENDS",
     "INF_ITERS",
     "ProblemAdapter",
+    "require_sequential_backend",
     "run_speculative",
     "run_sequential",
 ]
@@ -175,6 +176,23 @@ def run_speculative(
         tracer=tracer,
         **backend_options,
     )
+
+
+def require_sequential_backend(backend: str, options: dict) -> None:
+    """Reject ``algorithm="sequential"`` anywhere but the default backend.
+
+    The sequential baseline (:func:`run_sequential`) always runs on the
+    simulated machine at one thread, so ``color_bgpc``/``color_d2gc``
+    dispatch it only for ``backend="sim"``; every other backend needs a
+    speculative schedule.
+    """
+    if backend != "sim":
+        raise ColoringError(
+            f"backend={backend!r} needs a speculative schedule (e.g. "
+            "algorithm='V-V'), not sequential; sequential greedy runs "
+            "only on backend='sim'"
+        )
+    _reject_options(backend, options)
 
 
 def run_sequential(

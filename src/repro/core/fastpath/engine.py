@@ -57,7 +57,7 @@ from repro.core.fastpath.bitset import (
     pack_color_masks,
 )
 from repro.errors import ColoringError
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, ragged_take
 from repro.obs.tracer import NULL_TRACER, ensure_tracer
 from repro.obs.work import WorkCounters
 from repro.types import IterationRecord, UNCOLORED
@@ -67,22 +67,6 @@ __all__ = ["FASTPATH_MODES", "GroupLayout", "rank_dtype", "run_fastpath"]
 #: Engine modes: ``exact`` (byte-identical to sequential) and
 #: ``speculative`` (paper-style optimistic rounds).
 FASTPATH_MODES = ("exact", "speculative")
-
-
-def _ragged_take(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """Concatenate ``values[starts[i] : starts[i] + lengths[i]]`` slices.
-
-    Returns the gathered values and, aligned with them, the index ``i`` of
-    the slice each element came from.  The workhorse for expanding per-
-    vertex group lists and per-group member prefixes without Python loops.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, values.dtype), np.empty(0, np.int64)
-    owner = np.repeat(np.arange(starts.size, dtype=np.int64), lengths)
-    offs = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-    pos = np.arange(total, dtype=np.int64) - offs[owner] + starts[owner]
-    return values[pos], owner
 
 
 def rank_dtype(n_entries: int):
@@ -198,12 +182,12 @@ def _color_exact(lay: GroupLayout, max_rounds: int, tracer=NULL_TRACER, work=Non
         t_round = time.perf_counter()
         cmax_before = cmax
         F = frontier
-        flat_idx, own1 = _ragged_take(
+        flat_idx, own1 = ragged_take(
             np.arange(lay.tgroups.size, dtype=np.int64), lay.tptr[F], lay.tdeg[F]
         )
         gl = lay.tgroups[flat_idx]
         pl = lay.prefix_len[flat_idx]
-        mem, own2 = _ragged_take(gidx, gptr[gl], pl)
+        mem, own2 = ragged_take(gidx, gptr[gl], pl)
         pair_owner = own1[own2]
         used = np.zeros((F.size, cmax + 2), dtype=bool)
         used[pair_owner, colors[mem]] = True
@@ -328,7 +312,7 @@ def _color_speculative(lay: GroupLayout, max_rounds: int, tracer=NULL_TRACER,
             words = mask_words(cap)
             ce = ~unc_entry
             gmask = pack_color_masks(goe[ce], entry_col[ce], n_groups, words)
-            qg, _ = _ragged_take(lay.tgroups, lay.tptr[queue], lay.tdeg[queue])
+            qg, _ = ragged_take(lay.tgroups, lay.tptr[queue], lay.tdeg[queue])
             forbidden = or_reduce_segments(
                 gmask[qg.astype(np.int64)], lay.tdeg[queue]
             )

@@ -26,9 +26,9 @@ from repro.core.policies import FirstFit
 from repro.dist.mpi import ClusterModel
 from repro.dist.superstep import (
     DistributedResult,
-    _conflicted,
     _validated_partition,
     boundary_mask,
+    detect_losers,
 )
 from repro.errors import ColoringError
 from repro.graph.bipartite import BipartiteGraph
@@ -104,13 +104,11 @@ def hybrid_bgpc(
             words[r] = int(mine.size)
             messages[r] = 1
         colors = merged
-        losers = _conflicted(bg, batch_vs, colors)
+        losers, _ = detect_losers(bg, batch_vs, colors)
         colors[losers] = UNCOLORED
         conflicts += len(losers)
         cluster.superstep(compute, words, messages)
-        pending = np.concatenate(
-            [np.asarray(losers, dtype=np.int64), rest]
-        )
+        pending = np.concatenate([losers, rest])
 
     return DistributedResult(
         colors=colors,

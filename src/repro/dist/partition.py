@@ -26,7 +26,6 @@ deterministic for a fixed ``(graph, ranks, seed)``.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 import numpy as np
@@ -61,6 +60,32 @@ def partition_random(n: int, ranks: int, seed: int = 0) -> np.ndarray:
     return rng.integers(0, ranks, size=n, dtype=np.int64)
 
 
+def _next_seed(part: np.ndarray, start: int) -> int:
+    """The smallest unassigned vertex id ``>= start``, or ``-1`` if none.
+
+    Scans windows of doubling size from ``start``, so a call costs
+    ``O(64 + d)`` for a seed ``d`` ids past ``start``.
+    """
+    n = part.size
+    step = 64
+    while start < n:
+        free = np.flatnonzero(part[start : start + step] < 0)
+        if free.size:
+            return start + int(free[0])
+        start += step
+        step *= 2
+    return -1
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Positions of each value's first occurrence, in array order."""
+    if values.size < 2:
+        return np.arange(values.size)
+    _, first = np.unique(values, return_index=True)
+    first.sort()
+    return first
+
+
 def partition_bfs(
     bg: BipartiteGraph, ranks: int, stats: dict | None = None
 ) -> np.ndarray:
@@ -71,43 +96,62 @@ def partition_bfs(
     vertices, so parts are connected chunks of the *topology* rather than
     of the label space.  Sizes never exceed ``ceil(n / ranks) + 1``.
 
-    Vertices are marked on *enqueue* (per part), so the frontier deque
-    holds each vertex at most once and peaks at ``O(n)`` rather than the
-    ``O(E)`` duplicate growth a dense net would otherwise cause.  Pass a
-    ``stats`` dict to record the observed peak as ``stats["max_queue"]``.
+    The BFS is level-synchronous but keeps the exact FIFO order of a
+    vertex-at-a-time queue walk: each level pops its whole frontier (or
+    only the first ``target - size`` vertices when the part fills
+    mid-level), gathers the popped vertices' nets in pop order, and
+    expands every net at most once per part.  Skipping a net seen before
+    is exact — its first visit already enqueued every unassigned member,
+    and owners are never revoked — so one part walks ``O(|E|)`` entries
+    and no level materializes the two-hop neighborhood.  The next level is
+    the expanded nets' unassigned, not-yet-enqueued members in
+    first-occurrence order.  Pass a ``stats`` dict to record the peak
+    queue length of that walk as ``stats["max_queue"]`` (at most ``n``).
     """
     n = bg.num_vertices
     target = -(-n // ranks)
     part = np.full(n, -1, dtype=np.int64)
-    # Stamp of the last part that enqueued each vertex: enqueue w for part
-    # r at most once, without blocking a later part from re-visiting it.
+    # Stamps of the last part that enqueued each vertex / expanded each
+    # net: once per part, without blocking a later part from re-visiting.
     enqueued = np.full(n, -1, dtype=np.int64)
+    expanded = np.full(bg.num_nets, -1, dtype=np.int64)
     max_queue = 0
     next_seed = 0
     for r in range(ranks - 1):
         size = 0
-        queue: deque[int] = deque()
+        frontier = np.empty(0, dtype=np.int64)
         while size < target:
-            if not queue:
-                while next_seed < n and part[next_seed] != -1:
-                    next_seed += 1
-                if next_seed == n:
+            if not frontier.size:
+                next_seed = _next_seed(part, next_seed)
+                if next_seed < 0:
                     break
-                queue.append(next_seed)
+                frontier = np.array([next_seed], dtype=np.int64)
                 enqueued[next_seed] = r
-            u = queue.popleft()
-            if part[u] != -1:
-                continue
-            part[u] = r
-            size += 1
-            for net in bg.nets(u):
-                for w in bg.vtxs(net):
-                    if part[w] == -1 and enqueued[w] != r:
-                        enqueued[w] = r
-                        queue.append(int(w))
-            if len(queue) > max_queue:
-                max_queue = len(queue)
-    part[part == -1] = ranks - 1
+            level = frontier.size
+            popped = frontier[: target - size]
+            part[popped] = r
+            size += popped.size
+            # Nets of the popped vertices in pop order, each expanded once;
+            # ``by`` is the pop position that expands it.
+            nets, by = bg.vtx_to_nets.take_rows(popped)
+            fresh = expanded[nets] != r
+            nets, by = nets[fresh], by[fresh]
+            first = _first_occurrences(nets)
+            nets, by = nets[first], by[first]
+            expanded[nets] = r
+            members, which = bg.net_to_vtxs.take_rows(nets)
+            by = by[which]
+            new = (part[members] < 0) & (enqueued[members] != r)
+            members, by = members[new], by[new]
+            first = _first_occurrences(members)
+            frontier, by = members[first], by[first]
+            enqueued[frontier] = r
+            # Queue length right after the i-th pop (1-based): the level's
+            # unpopped tail plus everything pops 1..i enqueued.
+            found = np.cumsum(np.bincount(by, minlength=popped.size))
+            lengths = found + level - np.arange(1, popped.size + 1)
+            max_queue = max(max_queue, int(lengths.max()))
+    part[part < 0] = ranks - 1
     if stats is not None:
         stats["max_queue"] = max_queue
     return part

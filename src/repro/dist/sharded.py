@@ -56,32 +56,6 @@ from repro.types import ColoringResult, IterationRecord, UNCOLORED
 __all__ = ["ShardedBackend"]
 
 
-def _detect_losers(bg, batch: np.ndarray, colors: np.ndarray, work) -> list[int]:
-    """Batch vertices losing a same-color tie to a smaller-id neighbor.
-
-    Mirrors the oracle's ``_conflicted`` exactly (same early exits, same
-    order) while also counting the adjacency entries examined into
-    ``work.conflict_checks``.
-    """
-    losers = []
-    checks = 0
-    for u in batch.tolist():
-        cu = colors[u]
-        lost = False
-        for net in bg.nets(u):
-            for w in bg.vtxs(net):
-                checks += 1
-                if w < u and colors[w] == cu:
-                    lost = True
-                    break
-            if lost:
-                break
-        if lost:
-            losers.append(u)
-    work.add("conflict_checks", checks)
-    return losers
-
-
 class ShardedBackend:
     """Partitioned superstep coloring on a worker-process pool.
 
@@ -130,7 +104,7 @@ class ShardedBackend:
         from repro.core.backends import ProcessPhaseEngine
         from repro.core.policies import FirstFit
         from repro.dist.partition import get_partitioner
-        from repro.dist.superstep import boundary_mask
+        from repro.dist.superstep import boundary_mask, detect_losers
         from repro.graph.bipartite import BipartiteGraph
         from repro.obs.tracer import ensure_tracer
         from repro.obs.work import WorkCounters
@@ -286,9 +260,10 @@ class ShardedBackend:
                     for ids, cols in exchanges:
                         engine.colors[ids] = cols
                         writes += int(ids.size)
-                    losers = _detect_losers(
-                        gview, batch_vs, engine.colors, step_work
+                    losers, checks = detect_losers(
+                        gview, batch_vs, engine.colors
                     )
+                    step_work.add("conflict_checks", checks)
                     engine.colors[losers] = UNCOLORED
                     step_work.add("color_writes", len(losers))
                     step_work.add("queue_pushes", len(losers))
@@ -323,9 +298,7 @@ class ShardedBackend:
                         )
                     )
                     supersteps += 1
-                    pending = np.concatenate(
-                        [np.asarray(losers, dtype=np.int64), rest]
-                    )
+                    pending = np.concatenate([losers, rest])
 
                 final = engine.snapshot()
                 run_span.set(

@@ -25,7 +25,12 @@ from repro.errors import ColoringError
 from repro.graph.bipartite import BipartiteGraph
 from repro.types import UNCOLORED
 
-__all__ = ["DistributedResult", "boundary_mask", "distributed_bgpc"]
+__all__ = [
+    "DistributedResult",
+    "boundary_mask",
+    "detect_losers",
+    "distributed_bgpc",
+]
 
 
 @dataclass
@@ -68,14 +73,26 @@ def _validated_partition(partition, n: int, ranks: int) -> np.ndarray:
 
 
 def boundary_mask(bg: BipartiteGraph, part: np.ndarray) -> np.ndarray:
-    """True for vertices sharing a net with another rank's vertex."""
+    """True for vertices sharing a net with another rank's vertex.
+
+    One pass over the nets: a net is *mixed* when the minimum and maximum
+    owner over its members differ, and every member of a mixed net is a
+    boundary vertex.
+    """
     mask = np.zeros(bg.num_vertices, dtype=bool)
-    for net in range(bg.num_nets):
-        vs = bg.vtxs(net)
-        if vs.size > 1:
-            owners = part[vs]
-            if (owners != owners[0]).any():
-                mask[vs] = True
+    ptr, members = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
+    sizes = np.diff(ptr)
+    nonempty = sizes > 0
+    if not nonempty.any():
+        return mask
+    # Empty nets add nothing between consecutive non-empty starts, so each
+    # reduceat segment is exactly one non-empty net's member list.
+    starts = ptr[:-1][nonempty]
+    owners = part[members]
+    mixed = np.minimum.reduceat(owners, starts) != np.maximum.reduceat(
+        owners, starts
+    )
+    mask[members[np.repeat(mixed, sizes[nonempty])]] = True
     return mask
 
 
@@ -103,23 +120,62 @@ def _first_fit(bg: BipartiteGraph, u: int, committed: np.ndarray,
     return color, scans
 
 
-def _conflicted(bg: BipartiteGraph, batch: np.ndarray,
-                colors: np.ndarray) -> list[int]:
-    """Batch vertices losing a same-color tie to a smaller-id neighbor."""
-    losers = []
-    for u in batch.tolist():
-        cu = colors[u]
-        lost = False
-        for net in bg.nets(u):
-            for w in bg.vtxs(net):
-                if w < u and colors[w] == cu:
-                    lost = True
-                    break
-            if lost:
-                break
-        if lost:
-            losers.append(u)
-    return losers
+#: Two-hop entries :func:`detect_losers` gathers per chunk (plus at most
+#: one net's members), whatever the batch size.
+LOSER_CHUNK = 1 << 16
+
+
+def detect_losers(
+    bg: BipartiteGraph, batch: np.ndarray, colors: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Batch vertices losing a same-color tie to a smaller-id neighbor.
+
+    ``u`` loses when some member ``w < u`` of one of its nets holds
+    ``colors[u]``.  Returns the losers in batch order and the number of
+    adjacency entries a per-vertex walk (``nets(u)`` in order, each net's
+    members in order, stopping at the first losing entry) examines: up to
+    and including the first losing entry, or the whole walk when ``u``
+    keeps its color.
+
+    The batch's walks, laid end to end, are gathered in chunks of at most
+    :data:`LOSER_CHUNK` entries (or one larger net), so scratch memory stays
+    ``O(|E| + chunk + largest net)`` however large the batch is.  A chunk skips the nets of vertices
+    that already lost in an earlier one.
+    """
+    nets, slot = bg.vtx_to_nets.take_rows(batch)
+    ptr = bg.net_to_vtxs.ptr
+    sizes = ptr[nets + 1] - ptr[nets]
+    # ``ends[i]``: walk position just past the members of (vertex, net)
+    # entry ``i``; the walks of consecutive batch slots follow each other.
+    ends = np.cumsum(sizes)
+    lost = np.zeros(batch.size, dtype=bool)
+    skipped = 0
+    begin = 0
+    while begin < nets.size:
+        base = ends[begin] - sizes[begin]
+        stop = int(np.searchsorted(ends, base + LOSER_CHUNK, side="right"))
+        stop = max(stop, begin + 1)
+        rows = np.flatnonzero(~lost[slot[begin:stop]]) + begin
+        begin = stop
+        members, which = bg.net_to_vtxs.take_rows(nets[rows])
+        u = batch[slot[rows[which]]]
+        hit = np.flatnonzero((members < u) & (colors[members] == colors[u]))
+        if not hit.size:
+            continue
+        # Entries are in walk order, so the first hit of each losing slot
+        # is where its walk stops; the rest of that slot's walk is skipped.
+        losing, first = np.unique(slot[rows[which[hit]]], return_index=True)
+        h = hit[first]
+        # Walk position of each stopping entry: its net's start plus its
+        # offset among that net's gathered members.
+        row_start = np.cumsum(sizes[rows]) - sizes[rows]
+        r = rows[which[h]]
+        at = ends[r] - sizes[r] + h - row_start[which[h]]
+        walk_end = ends[np.searchsorted(slot, losing, side="right") - 1]
+        skipped += int((walk_end - at - 1).sum())
+        lost[losing] = True
+    checks = int(ends[-1]) - skipped if ends.size else 0
+    return batch[lost], checks
 
 
 def _neighbor_ranks(bg: BipartiteGraph, u: int, part: np.ndarray) -> set:
@@ -203,13 +259,11 @@ def distributed_bgpc(
                 colors[u] = c
         for r in range(ranks):
             messages[r] = len(neighbor_ranks[r]) if words[r] else 0
-        losers = _conflicted(bg, batch_vs, colors)
+        losers, _ = detect_losers(bg, batch_vs, colors)
         colors[losers] = UNCOLORED
         conflicts += len(losers)
         cluster.superstep(compute, words, messages)
-        pending = np.concatenate(
-            [np.asarray(losers, dtype=np.int64), rest]
-        )
+        pending = np.concatenate([losers, rest])
 
     cycles += cluster.total_cycles
     return DistributedResult(

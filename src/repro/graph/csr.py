@@ -15,7 +15,23 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["CSR"]
+__all__ = ["CSR", "ragged_take"]
+
+
+def ragged_take(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Concatenate ``values[starts[i] : starts[i] + lengths[i]]`` slices.
+
+    Returns the gathered values and, aligned with them, the index ``i`` of
+    the slice each element came from.  The workhorse for expanding per-
+    vertex group lists and per-group member prefixes without Python loops.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, values.dtype), np.empty(0, np.int64)
+    owner = np.repeat(np.arange(starts.size, dtype=np.int64), lengths)
+    offs = np.concatenate(([0], np.cumsum(lengths)))[:-1]
+    pos = np.arange(total, dtype=np.int64) - offs[owner] + starts[owner]
+    return values[pos], owner
 
 
 class CSR:
@@ -95,6 +111,15 @@ class CSR:
         if self.nrows == 0:
             return 0
         return int(self.degrees().max(initial=0))
+
+    def take_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency lists of ``rows`` concatenated in the given order.
+
+        Returns the entries and, aligned with them, the position in
+        ``rows`` each entry came from (see :func:`ragged_take`).
+        """
+        starts = self.ptr[rows]
+        return ragged_take(self.idx, starts, self.ptr[rows + 1] - starts)
 
     def iter_rows(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(row_id, adjacency_view)`` pairs in row order."""

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import sequential_bgpc, validate_bgpc
+from repro import color_bgpc, sequential_bgpc, validate_bgpc
 from repro.core.policies import B1Policy, B2Policy
+from repro.errors import ColoringError
 from repro.order import random_order, smallest_last_order
 
 
@@ -51,6 +52,29 @@ class TestCorrectness:
         cg = bgpc_conflict_graph(small_bipartite)
         result = sequential_bgpc(small_bipartite)
         assert result.num_colors <= cg.max_degree() + 1
+
+
+class TestColorBgpcDispatch:
+    """``color_bgpc(algorithm="sequential")`` is the same baseline."""
+
+    def test_default_backend_runs_sequential(self, small_bipartite):
+        order = random_order(small_bipartite, seed=4)
+        result = color_bgpc(small_bipartite, algorithm="sequential", order=order)
+        reference = sequential_bgpc(small_bipartite, order=order)
+        assert result.algorithm == "sequential"
+        assert result.num_iterations == 1
+        assert np.array_equal(result.colors, reference.colors)
+
+    @pytest.mark.parametrize("backend", ["numpy", "process", "sharded"])
+    def test_other_backends_reject(self, small_bipartite, backend):
+        with pytest.raises(
+            ColoringError, match="needs a speculative schedule.*not sequential"
+        ):
+            color_bgpc(small_bipartite, algorithm="sequential", backend=backend)
+
+    def test_rejects_backend_options(self, small_bipartite):
+        with pytest.raises(ColoringError, match="does not accept"):
+            color_bgpc(small_bipartite, algorithm="sequential", partitioner="bfs")
 
 
 class TestOrdering:

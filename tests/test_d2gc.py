@@ -10,6 +10,7 @@ from repro import (
     validate_d2gc,
 )
 from repro.core.d2gc.net import make_net_color_kernel, make_net_removal_kernel
+from repro.errors import ColoringError
 from repro.graph import graph_from_edges
 from repro.machine.cost import CostModel
 from repro.machine.engine import TaskContext
@@ -46,6 +47,21 @@ class TestSequential:
             reference[w] = col
         result = sequential_d2gc(small_graph)
         assert np.array_equal(result.colors, reference)
+    def test_color_d2gc_dispatches_sequential(self, small_graph):
+        result = color_d2gc(small_graph, algorithm="sequential")
+        assert result.algorithm == "sequential"
+        assert np.array_equal(
+            result.colors, sequential_d2gc(small_graph).colors
+        )
+
+    @pytest.mark.parametrize("backend", ["numpy", "sharded"])
+    def test_color_d2gc_sequential_rejects_other_backends(
+        self, small_graph, backend
+    ):
+        with pytest.raises(
+            ColoringError, match="needs a speculative schedule.*not sequential"
+        ):
+            color_d2gc(small_graph, algorithm="sequential", backend=backend)
 
 
 class TestParallel:
