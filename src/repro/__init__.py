@@ -32,7 +32,6 @@ from repro.graph import (
 )
 from repro.core import (
     PAPER_SCHEDULES,
-    AlgorithmSpec,
     ScheduleSpec,
     backend_names,
     get_backend,
@@ -103,7 +102,6 @@ __all__ = [
     "BGPC_ALGORITHMS",
     "D2GC_ALGORITHMS",
     "PAPER_SCHEDULES",
-    "AlgorithmSpec",
     "ScheduleSpec",
     "normalize_schedule_name",
     "backend_names",

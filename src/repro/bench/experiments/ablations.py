@@ -24,15 +24,15 @@ calibration) relies on:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.bench.tables import Experiment
-from repro.core.bgpc import color_bgpc, sequential_bgpc
-from repro.core.bgpc.runner import BGPCAdapter
-from repro.core.driver import INF_ITERS, AlgorithmSpec, run_speculative
+from repro.core.bgpc import BGPC_ALGORITHMS, color_bgpc, sequential_bgpc
 from repro.core.metrics import color_stats
+from repro.core.plan import INF_ITERS
 from repro.core.policies import B2Policy
 from repro.datasets.registry import load_dataset
 from repro.machine.cost import CostModel
-from repro.machine.engine import QUEUE_PRIVATE
 
 __all__ = ["run"]
 
@@ -44,9 +44,8 @@ def _chunk_sweep(scale: str, threads: int, rows: list) -> None:
     cost = CostModel()
     seq = sequential_bgpc(bg, cost=cost)
     for chunk in (1, 16, 64, 256):
-        spec = AlgorithmSpec(f"V-V-{chunk}D", chunk=chunk, queue_mode=QUEUE_PRIVATE)
-        adapter = BGPCAdapter(bg, cost)
-        result = run_speculative(adapter, spec, threads=threads, cost=cost)
+        spec = replace(BGPC_ALGORITHMS["V-V-64D"], chunk=chunk)
+        result = color_bgpc(bg, algorithm=spec, threads=threads, cost=cost)
         rows.append(
             (
                 "chunk-size",
@@ -122,14 +121,8 @@ def _horizon_sweep(scale: str, threads: int, rows: list) -> None:
     seq = sequential_bgpc(bg, cost=cost)
     for horizon in (0, 1, 2, 3, INF_ITERS):
         label = "inf" if horizon == INF_ITERS else str(horizon)
-        spec = AlgorithmSpec(
-            f"V-N{label}",
-            chunk=64,
-            queue_mode=QUEUE_PRIVATE,
-            net_removal_iters=horizon,
-        )
-        adapter = BGPCAdapter(bg, cost)
-        result = run_speculative(adapter, spec, threads=threads, cost=cost)
+        spec = replace(BGPC_ALGORITHMS["V-V-64D"], net_removal_iters=horizon)
+        result = color_bgpc(bg, algorithm=spec, threads=threads, cost=cost)
         rows.append(
             (
                 "net-removal-horizon",

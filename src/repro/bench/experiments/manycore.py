@@ -18,10 +18,12 @@ the simulator:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.bench.tables import Experiment
-from repro.core.bgpc import sequential_bgpc
+from repro.core.bgpc import BGPC_ALGORITHMS, color_bgpc, sequential_bgpc
 from repro.datasets.registry import load_dataset
 from repro.graph.twohop import bgpc_twohop
 from repro.machine.cost import CostModel
@@ -81,23 +83,12 @@ def run(scale: str = "small", threads: int = 64) -> Experiment:
         bg = load_dataset(name, scale)
         seq = sequential_bgpc(bg, cost=MANYCORE_COST)
         speeds = {}
-        from repro.core.bgpc.runner import BGPC_ALGORITHMS, BGPCAdapter
-        from repro.core.driver import AlgorithmSpec, run_speculative
-
         for alg in ("V-V-64D", "N1-N2"):
-            base_spec = BGPC_ALGORITHMS[alg]
-            spec = AlgorithmSpec(
-                name=f"{alg}@mc",
-                chunk=MANYCORE_CHUNK,
-                queue_mode=base_spec.queue_mode,
-                net_color_iters=base_spec.net_color_iters,
-                net_removal_iters=base_spec.net_removal_iters,
-            )
+            spec = replace(BGPC_ALGORITHMS[alg], chunk=MANYCORE_CHUNK)
             per_t = []
             for p in THREADS:
-                adapter = BGPCAdapter(bg, MANYCORE_COST)
-                result = run_speculative(
-                    adapter, spec, threads=p, cost=MANYCORE_COST
+                result = color_bgpc(
+                    bg, algorithm=spec, threads=p, cost=MANYCORE_COST
                 )
                 per_t.append(seq.cycles / result.cycles)
             speeds[alg] = per_t

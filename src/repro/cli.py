@@ -30,9 +30,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.backends import backend_names
-from repro.core.bgpc import BGPC_ALGORITHMS, color_bgpc, sequential_bgpc
-from repro.core.d2gc import color_d2gc, sequential_d2gc
+from repro.core.backends import backend_names, missing_capability
+from repro.core.bgpc import BGPC_ALGORITHMS, color_bgpc
+from repro.core.d2gc import color_d2gc
+from repro.core.driver import SEQUENTIAL
 from repro.core.metrics import color_stats
 from repro.core.policies import POLICIES, get_policy
 from repro.core.validate import validate_bgpc, validate_d2gc
@@ -202,21 +203,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.delta:
         # Incremental recoloring resumes the kernel loop in place, which
         # constrains the configuration; reject the rest with one-line errors.
+        missing = missing_capability(args.backend, ["resume"])
         reason = None
         if args.problem != "bgpc":
             reason = "--delta supports only --problem bgpc"
-        elif args.algorithm == "sequential":
+        elif args.algorithm == SEQUENTIAL:
             reason = ("--delta needs a speculative schedule to resume "
                       "(e.g. --algo V-V), not sequential")
-        elif args.backend in ("numpy", "compiled"):
-            reason = (f"--delta cannot run on --backend {args.backend} (the "
-                      "fast path cannot resume a partial coloring)")
-        elif args.backend == "sharded":
-            reason = ("--delta cannot run on --backend sharded (the "
-                      "interior/boundary split assumes a fresh palette)")
         elif args.ordering != "natural":
             reason = ("--delta requires --ordering natural (a permuted "
                       "coloring cannot be resumed in place)")
+        elif missing is not None:
+            reason = f"--delta: {missing}"
         if reason is not None:
             print(f"error: {reason}", file=sys.stderr)
             return 2
@@ -272,22 +270,17 @@ def _run(args, bg, policy, tracer=None, delta=None) -> int:
             if args.ordering == "natural"
             else get_ordering(args.ordering)(instance)
         )
-        if args.algorithm == "sequential":
-            result = sequential_bgpc(
-                instance, policy=policy, order=order, tracer=tracer
-            )
-        else:
-            result = color_bgpc(
-                instance,
-                algorithm=args.algorithm,
-                threads=threads,
-                policy=policy,
-                order=order,
-                backend=args.backend,
-                fastpath_mode=args.fastpath_mode,
-                tracer=tracer,
-                **backend_options,
-            )
+        result = color_bgpc(
+            instance,
+            algorithm=args.algorithm,
+            threads=threads,
+            policy=policy,
+            order=order,
+            backend=args.backend,
+            fastpath_mode=args.fastpath_mode,
+            tracer=tracer,
+            **backend_options,
+        )
         validate_bgpc(instance, result.colors)
         lower = instance.color_lower_bound()
         sizes = f"{instance.num_nets} nets x {instance.num_vertices} vertices"
@@ -298,22 +291,17 @@ def _run(args, bg, policy, tracer=None, delta=None) -> int:
             if args.ordering == "natural"
             else get_ordering(args.ordering)(instance)
         )
-        if args.algorithm == "sequential":
-            result = sequential_d2gc(
-                instance, policy=policy, order=order, tracer=tracer
-            )
-        else:
-            result = color_d2gc(
-                instance,
-                algorithm=args.algorithm,
-                threads=threads,
-                policy=policy,
-                order=order,
-                backend=args.backend,
-                fastpath_mode=args.fastpath_mode,
-                tracer=tracer,
-                **backend_options,
-            )
+        result = color_d2gc(
+            instance,
+            algorithm=args.algorithm,
+            threads=threads,
+            policy=policy,
+            order=order,
+            backend=args.backend,
+            fastpath_mode=args.fastpath_mode,
+            tracer=tracer,
+            **backend_options,
+        )
         validate_d2gc(instance, result.colors)
         lower = instance.color_lower_bound()
         sizes = f"{instance.num_vertices} vertices, {instance.num_edges} edges"

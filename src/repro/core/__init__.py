@@ -23,9 +23,7 @@ from repro.core.backends import (
 )
 from repro.core.plan import (
     PAPER_SCHEDULES,
-    AlgorithmSpec,
     ScheduleSpec,
-    build_algorithm_table,
     normalize_schedule_name,
 )
 from repro.core.bgpc import color_bgpc, sequential_bgpc, BGPC_ALGORITHMS
@@ -59,10 +57,8 @@ from repro.core.fastpath import (
 )
 
 __all__ = [
-    "AlgorithmSpec",
     "ScheduleSpec",
     "PAPER_SCHEDULES",
-    "build_algorithm_table",
     "normalize_schedule_name",
     "ExecutionBackend",
     "backend_names",

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from repro.types import (
 )
 
 __all__ = [
+    "Capabilities",
     "ExecutionBackend",
     "PhaseEngine",
     "SimBackend",
@@ -66,7 +68,9 @@ __all__ = [
     "ProcessBackend",
     "backend_names",
     "get_backend",
+    "missing_capability",
     "register_backend",
+    "require_capabilities",
     "run_plan_loop",
 ]
 
@@ -718,12 +722,16 @@ class ExecutionBackend(Protocol):
 
     ``initial_colors``/``initial_work`` resume the loop from a partially
     valid coloring on a restricted work queue (incremental recoloring —
-    see :mod:`repro.core.incremental`); backends that cannot resume (the
-    whole-array ``numpy`` engine) raise :class:`ColoringError` when either
-    is given.
+    see :mod:`repro.core.incremental`).
+
+    ``capabilities`` declares what the backend can run beyond a fresh
+    first-fit schedule (see :class:`Capabilities`); the driver checks it
+    before calling ``run``, so ``run`` never sees a request its record
+    rules out.  A backend without the attribute declares nothing.
     """
 
     name: str
+    capabilities: "Capabilities"
 
     def run(
         self,
@@ -757,15 +765,75 @@ def _reject_options(backend: str, options: dict) -> None:
         )
 
 
+@dataclass(frozen=True)
+class Capabilities:
+    """What one backend can run beyond a fresh first-fit speculative schedule.
+
+    Each registered backend declares one record as its ``capabilities``
+    attribute; :func:`require_capabilities` is the one place that checks
+    it.  The three loop capabilities hold exactly for the backends that
+    drive :func:`run_plan_loop`.
+
+    Attributes
+    ----------
+    resume:
+        Start from a partial coloring (``initial_colors``/``initial_work``,
+        the incremental-recoloring entry point).
+    controller:
+        Run an adaptive :class:`~repro.core.adaptive.ScheduleController`.
+    policies:
+        Run the B1/B2 balancing policies (not just first-fit).
+    sequential:
+        Run ``algorithm="sequential"`` (the one-thread greedy baseline).
+    """
+
+    resume: bool = False
+    controller: bool = False
+    policies: bool = False
+    sequential: bool = False
+
+
+#: Why a backend lacking each capability rejects a request.
+_MISSING = {
+    "resume": "cannot resume from a partial coloring",
+    "controller": "cannot run adaptive schedules (no kernel-level plan loop)",
+    "policies": "supports only the first-fit policy (U), not B1/B2",
+    "sequential": "needs a speculative schedule (e.g. algorithm='V-V'), "
+    "not sequential",
+}
+
+
+def _capabilities(name: str) -> Capabilities:
+    return getattr(get_backend(name), "capabilities", Capabilities())
+
+
+def missing_capability(backend: str, needs: Iterable[str]) -> str | None:
+    """The rejection message for the first of ``needs`` ``backend`` lacks.
+
+    ``needs`` holds :class:`Capabilities` field names; returns ``None``
+    when the backend has them all.  The message names the backends that
+    do have the missing capability.
+    """
+    caps = _capabilities(backend)
+    for need in needs:
+        if not getattr(caps, need):
+            able = [n for n in backend_names() if getattr(_capabilities(n), need)]
+            return f"backend={backend!r} {_MISSING[need]}; use {', '.join(able)}"
+    return None
+
+
+def require_capabilities(backend: str, needs: Iterable[str]) -> None:
+    """Raise :class:`ColoringError` unless ``backend`` has every one of ``needs``."""
+    message = missing_capability(backend, needs)
+    if message is not None:
+        raise ColoringError(message)
+
+
 class _KernelLoopBackend:
     """Shared ``run`` for backends that execute per-task kernels."""
 
     name = ""
     engine_cls: type | None = None
-    #: Kernel-level backends drive :func:`run_plan_loop` and therefore can
-    #: execute adaptive :class:`~repro.core.adaptive.ScheduleController`
-    #: schedules; whole-array and superstep backends cannot.
-    supports_controller = True
 
     def make_engine(
         self, initial_colors: np.ndarray, threads: int, cost=None, tracer=None
@@ -822,6 +890,9 @@ class SimBackend(_KernelLoopBackend):
 
     name = "sim"
     engine_cls = SimPhaseEngine
+    capabilities = Capabilities(
+        resume=True, controller=True, policies=True, sequential=True
+    )
 
 
 class ThreadedBackend(_KernelLoopBackend):
@@ -836,6 +907,7 @@ class ThreadedBackend(_KernelLoopBackend):
 
     name = "threaded"
     engine_cls = ThreadedPhaseEngine
+    capabilities = Capabilities(resume=True, controller=True, policies=True)
 
 
 class ProcessBackend:
@@ -860,7 +932,7 @@ class ProcessBackend:
     """
 
     name = "process"
-    supports_controller = True
+    capabilities = Capabilities(resume=True, controller=True, policies=True)
 
     def run(
         self,
@@ -926,10 +998,12 @@ class NumpyBackend:
     Ignores ``threads``, ``cost``, ``max_iterations`` and the schedule's
     kernel plan (its round structure is the engine's own, bounded by a
     provable ``n + 1``); honours ``fastpath_mode`` (``"exact"`` /
-    ``"speculative"``) and supports only the first-fit policy.
+    ``"speculative"``).  Its rounds are whole-array, so it declares no
+    capabilities: first-fit only, no resume, no controller.
     """
 
     name = "numpy"
+    capabilities = Capabilities()
 
     def run(
         self,
@@ -952,17 +1026,6 @@ class NumpyBackend:
         from repro.obs.work import WorkCounters
 
         _reject_options(self.name, options)
-        if initial_colors is not None or initial_work is not None:
-            raise ColoringError(
-                "backend='numpy' cannot resume from a partial coloring "
-                "(its rounds are whole-array); run incremental recoloring "
-                "on sim, threaded or process"
-            )
-        if policy is not None and not isinstance(policy, FirstFit):
-            raise ColoringError(
-                "backend='numpy' supports only the first-fit policy (U); "
-                f"got {type(policy).__name__} — run B1/B2 on the simulator"
-            )
         tracer = ensure_tracer(tracer)
         groups = adapter.fastpath_groups()
         run_work = WorkCounters()
@@ -1050,7 +1113,7 @@ def _register_sharded() -> None:
 
 
 def _register_compiled() -> None:
-    # Deferred likewise (repro.core.compiled imports _reject_options from
+    # Deferred likewise (repro.core.compiled imports Capabilities from
     # here).  Registration never imports numba: the name is always a valid
     # --backend choice, and the dependency check happens at run time so a
     # missing numba is a one-line ColoringError, not an import crash.

@@ -2,10 +2,10 @@
 
 ``V-V``, ``V-V-64``, ``V-V-64D``, ``V-N∞``, ``V-N1``, ``V-N2``, ``N1-N2``
 and ``N2-N2`` differ only in chunk size, queue construction, and the
-net-based horizons of the two phases, so :data:`BGPC_ALGORITHMS` is
-*derived* from the schedule grammar (:func:`repro.core.plan.build_algorithm_table`)
-rather than hand-written; any other spec the grammar admits (e.g.
-``"N1-Ninf-B2"``) is accepted by :func:`color_bgpc` as well.
+net-based horizons of the two phases, so :data:`BGPC_ALGORITHMS` is just
+:data:`~repro.core.plan.PAPER_SCHEDULES` parsed by the schedule grammar;
+any other spec the grammar admits (e.g. ``"N1-Ninf-B2"``) is accepted by
+:func:`color_bgpc` as well.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from repro.core.bgpc.vertex import (
     make_vertex_color_kernel,
     make_vertex_removal_kernel,
 )
-from repro.core.driver import (
-    require_sequential_backend,
-    run_sequential,
-    run_speculative,
-)
-from repro.core.plan import AlgorithmSpec, build_algorithm_table, resolve_schedule
+from repro.core.driver import SEQUENTIAL, run_sequential, run_speculative
+from repro.core.plan import PAPER_SCHEDULES, ScheduleSpec, resolve_schedule
 from repro.graph.bipartite import BipartiteGraph
 from repro.machine.cost import CostModel
 from repro.types import ColoringResult
@@ -33,12 +29,12 @@ from repro.types import ColoringResult
 __all__ = ["BGPC_ALGORITHMS", "BGPCAdapter", "color_bgpc", "sequential_bgpc"]
 
 
-#: The paper's algorithm matrix (Section VI), derived from the schedule
-#: parser — each entry equals the previously hand-written
-#: :class:`AlgorithmSpec` (golden-pinned in ``tests/test_plan.py``).
-#: ``V-V`` is ColPack's default: chunk-1 dynamic scheduling and immediate
-#: shared-queue appends.
-BGPC_ALGORITHMS: dict[str, AlgorithmSpec] = build_algorithm_table()
+#: The paper's algorithm matrix (Section VI), parsed from its names (each
+#: entry golden-pinned in ``tests/test_plan.py``).  ``V-V`` is ColPack's
+#: default: chunk-1 dynamic scheduling and immediate shared-queue appends.
+BGPC_ALGORITHMS: dict[str, ScheduleSpec] = {
+    name: ScheduleSpec.parse(name) for name in PAPER_SCHEDULES
+}
 
 
 class BGPCAdapter:
@@ -131,9 +127,9 @@ def color_bgpc(
         One of :data:`BGPC_ALGORITHMS` (``"V-V"`` … ``"N2-N2"``), any
         alias or novel spec the schedule grammar admits (``"v-n∞"``,
         ``"N1-N2-B1"`` — see :meth:`repro.core.plan.ScheduleSpec.parse`),
-        or an already-structured spec object.  ``"sequential"`` runs
-        :func:`sequential_bgpc` (``backend="sim"`` only; ``threads`` and
-        ``max_iterations`` do not apply).
+        or an already-structured spec object.  ``"sequential"`` runs the
+        :func:`sequential_bgpc` baseline (``backend="sim"`` only; ``threads``
+        and ``max_iterations`` do not apply).
     threads:
         Simulated core count (the paper sweeps 2, 4, 8, 16).
     cost:
@@ -172,16 +168,14 @@ def color_bgpc(
         timing (``backend="sim"``) or measured wall seconds
         (``backend="numpy"``).
     """
-    if algorithm == "sequential":
-        require_sequential_backend(backend, backend_options)
-        return sequential_bgpc(bg, cost=cost, policy=policy, order=order, tracer=tracer)
-    spec = resolve_schedule(algorithm, BGPC_ALGORITHMS, problem="BGPC")
+    if algorithm != SEQUENTIAL:
+        algorithm = resolve_schedule(algorithm, problem="BGPC")
     cost = cost if cost is not None else CostModel()
     work_graph, perm = _apply_order(bg, order)
     adapter = BGPCAdapter(work_graph, cost)
     result = run_speculative(
         adapter,
-        spec,
+        algorithm,
         threads=threads,
         cost=cost,
         policy=policy,
@@ -205,7 +199,5 @@ def sequential_bgpc(
     cost = cost if cost is not None else CostModel()
     work_graph, perm = _apply_order(bg, order)
     adapter = BGPCAdapter(work_graph, cost)
-    result = run_sequential(
-        adapter, cost=cost, policy=policy, name="sequential", tracer=tracer
-    )
+    result = run_sequential(adapter, cost=cost, policy=policy, tracer=tracer)
     return _restore_order(result, perm)

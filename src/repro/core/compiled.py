@@ -31,9 +31,9 @@ import time
 
 import numpy as np
 
+from repro.core.backends import Capabilities, _reject_options
 from repro.core.fastpath.bitset import mask_words
 from repro.core.fastpath.engine import GroupLayout, _emit_round_work
-from repro.core.policies import FirstFit
 from repro.errors import ColoringError
 from repro.obs.tracer import ensure_tracer
 from repro.obs.work import WorkCounters
@@ -235,6 +235,7 @@ class CompiledBackend:
     """
 
     name = "compiled"
+    capabilities = Capabilities()
     #: Router fallback when numba is missing and the backend was not
     #: explicitly pinned (see :class:`repro.service.router.SizeRouter`).
     fallback = "numpy"
@@ -259,21 +260,9 @@ class CompiledBackend:
         initial_work=None,
         **options,
     ) -> ColoringResult:
-        from repro.core.backends import _reject_options
         from repro.core.fastpath.engine import FASTPATH_MODES
 
         _reject_options(self.name, options)
-        if initial_colors is not None or initial_work is not None:
-            raise ColoringError(
-                "backend='compiled' cannot resume from a partial coloring "
-                "(its rounds are whole-array); run incremental recoloring "
-                "on sim, threaded or process"
-            )
-        if policy is not None and not isinstance(policy, FirstFit):
-            raise ColoringError(
-                "backend='compiled' supports only the first-fit policy (U); "
-                f"got {type(policy).__name__} — run B1/B2 on the simulator"
-            )
         if fastpath_mode not in FASTPATH_MODES:
             raise ColoringError(
                 f"unknown fastpath mode {fastpath_mode!r}; "

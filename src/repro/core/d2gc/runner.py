@@ -15,11 +15,7 @@ from repro.core.d2gc.vertex import (
     make_vertex_color_kernel,
     make_vertex_removal_kernel,
 )
-from repro.core.driver import (
-    require_sequential_backend,
-    run_sequential,
-    run_speculative,
-)
+from repro.core.driver import SEQUENTIAL, run_sequential, run_speculative
 from repro.core.plan import resolve_schedule
 from repro.graph.unipartite import Graph
 from repro.machine.cost import CostModel
@@ -27,8 +23,8 @@ from repro.types import ColoringResult
 
 __all__ = ["D2GC_ALGORITHMS", "D2GCAdapter", "color_d2gc", "sequential_d2gc"]
 
-#: Same specs as BGPC — Table V evaluates this subset.
-D2GC_ALGORITHMS = dict(BGPC_ALGORITHMS)
+#: Same specs as BGPC (the same mapping) — Table V evaluates this subset.
+D2GC_ALGORITHMS = BGPC_ALGORITHMS
 
 #: The variants the paper actually reports for D2GC (Table V rows).
 TABLE5_VARIANTS = ("V-V-64D", "V-N1", "V-N2", "N1-N2")
@@ -125,18 +121,16 @@ def color_d2gc(
     over a unipartite graph — including the ``backend`` switch between the
     simulated machine and the vectorized NumPy fast path, and the
     ``tracer`` hook into :mod:`repro.obs`.  ``algorithm="sequential"``
-    runs :func:`sequential_d2gc` (``backend="sim"`` only).
+    runs the :func:`sequential_d2gc` baseline (``backend="sim"`` only).
     """
-    if algorithm == "sequential":
-        require_sequential_backend(backend, backend_options)
-        return sequential_d2gc(g, cost=cost, policy=policy, order=order, tracer=tracer)
-    spec = resolve_schedule(algorithm, D2GC_ALGORITHMS, problem="D2GC")
+    if algorithm != SEQUENTIAL:
+        algorithm = resolve_schedule(algorithm, problem="D2GC")
     cost = cost if cost is not None else CostModel()
     work_graph, perm = _apply_order(g, order)
     adapter = D2GCAdapter(work_graph, cost)
     result = run_speculative(
         adapter,
-        spec,
+        algorithm,
         threads=threads,
         cost=cost,
         policy=policy,
@@ -160,7 +154,5 @@ def sequential_d2gc(
     cost = cost if cost is not None else CostModel()
     work_graph, perm = _apply_order(g, order)
     adapter = D2GCAdapter(work_graph, cost)
-    result = run_sequential(
-        adapter, cost=cost, policy=policy, name="sequential", tracer=tracer
-    )
+    result = run_sequential(adapter, cost=cost, policy=policy, tracer=tracer)
     return _restore_order(result, perm)

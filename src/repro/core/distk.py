@@ -24,7 +24,8 @@ from collections import deque
 import numpy as np
 
 from repro.core.bgpc.vertex import thread_forbidden
-from repro.core.driver import AlgorithmSpec, run_sequential, run_speculative
+from repro.core.driver import run_sequential, run_speculative
+from repro.core.plan import resolve_schedule
 from repro.errors import ColoringError, InvalidColoringError
 from repro.graph.unipartite import Graph
 from repro.machine.cost import CostModel
@@ -268,24 +269,12 @@ def color_distk(
     Accepts the same algorithm names as BGPC/D2GC; net-based horizons
     (``V-N*``, ``N*-N*``) require even ``k``.
     """
-    from repro.core.bgpc.runner import BGPC_ALGORITHMS
-    from repro.core.plan import ScheduleSpec, resolve_schedule
-
-    spec = resolve_schedule(algorithm, BGPC_ALGORITHMS, problem="distance-k")
-    if isinstance(spec, ScheduleSpec):
-        spec = spec.to_algorithm_spec()
+    spec = resolve_schedule(algorithm, problem="distance-k")
     cost = cost if cost is not None else CostModel()
     adapter = DistKAdapter(g, k, cost)
     if k % 2 == 1 and (spec.net_color_iters or spec.net_removal_iters):
         # Surface the constraint early rather than failing inside a kernel.
         adapter._require_half()
-    spec = AlgorithmSpec(
-        name=f"{spec.name}@d{k}",
-        chunk=spec.chunk,
-        queue_mode=spec.queue_mode,
-        net_color_iters=spec.net_color_iters,
-        net_removal_iters=spec.net_removal_iters,
-    )
     return run_speculative(
         adapter, spec, threads=threads, cost=cost, policy=policy,
         max_iterations=max_iterations,
@@ -298,7 +287,7 @@ def sequential_distk(
     """Sequential greedy distance-k baseline."""
     cost = cost if cost is not None else CostModel()
     adapter = DistKAdapter(g, k, cost)
-    return run_sequential(adapter, cost=cost, policy=policy, name=f"seq@d{k}")
+    return run_sequential(adapter, cost=cost, policy=policy)
 
 
 def validate_distk(g: Graph, k: int, colors: np.ndarray) -> None:

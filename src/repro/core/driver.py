@@ -26,8 +26,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.core.backends import _reject_options, backend_names, get_backend
-from repro.core.plan import INF_ITERS, AlgorithmSpec, ScheduleSpec
+from repro.core.backends import _reject_options, get_backend, require_capabilities
+from repro.core.plan import INF_ITERS, ScheduleSpec, resolve_schedule
 from repro.core.policies import FirstFit, get_policy
 from repro.errors import ColoringError
 from repro.machine.machine import Machine
@@ -35,21 +35,16 @@ from repro.machine.scheduler import Schedule
 from repro.types import ColoringResult, IterationRecord, PhaseKind, UNCOLORED
 
 __all__ = [
-    "AlgorithmSpec",
+    "SEQUENTIAL",
     "ScheduleSpec",
-    "BACKENDS",
     "INF_ITERS",
     "ProblemAdapter",
-    "require_sequential_backend",
     "run_speculative",
     "run_sequential",
 ]
 
-#: Snapshot of the registered backend names at import time, kept for
-#: backward compatibility.  Prefer :func:`repro.core.backends.backend_names`
-#: (live) or :func:`repro.core.backends.get_backend`; see
-#: ``docs/backends.md``.
-BACKENDS = backend_names()
+#: The algorithm name of the one-thread greedy baseline (:func:`run_sequential`).
+SEQUENTIAL = "sequential"
 
 
 class ProblemAdapter(Protocol):
@@ -79,7 +74,7 @@ class ProblemAdapter(Protocol):
 
 def run_speculative(
     adapter: ProblemAdapter,
-    spec: "str | ScheduleSpec | AlgorithmSpec",
+    spec: "str | ScheduleSpec",
     threads: int,
     cost=None,
     policy=None,
@@ -87,6 +82,8 @@ def run_speculative(
     backend: str = "sim",
     fastpath_mode: str = "exact",
     tracer=None,
+    initial_colors: np.ndarray | None = None,
+    initial_work: np.ndarray | None = None,
     **backend_options,
 ) -> ColoringResult:
     """Run the full speculative loop of ``spec`` on the chosen backend.
@@ -94,12 +91,11 @@ def run_speculative(
     ``spec`` may be a schedule name in the paper's grammar (``"N1-N2"``,
     ``"v-n∞"``, ``"N1-Ninf-B2"``, ``"V-V-64D-B1@2"`` — see
     :meth:`ScheduleSpec.parse <repro.core.plan.ScheduleSpec.parse>`), a
-    structured :class:`~repro.core.plan.ScheduleSpec`, a legacy
-    :class:`~repro.core.plan.AlgorithmSpec` (still supported; its display
-    name is preserved), an adaptive name (``"adaptive"``,
-    ``"adaptive:0.1"``) or :class:`~repro.core.adaptive.AdaptiveSchedule`
-    controller — adaptive schedules require a kernel-level backend
-    (``sim``/``threaded``/``process``; see ``docs/adaptive.md``).
+    structured :class:`~repro.core.plan.ScheduleSpec`, an adaptive name
+    (``"adaptive"``, ``"adaptive:0.1"``) or
+    :class:`~repro.core.adaptive.AdaptiveSchedule` controller, or
+    ``"sequential"`` for the one-thread greedy baseline
+    (:func:`run_sequential`).  ``result.algorithm`` is the canonical name.
 
     ``policy`` selects the color-choice heuristic for vertex-based coloring
     and, when it is B1/B2, also replaces the reverse-first-fit cursor inside
@@ -107,6 +103,11 @@ def run_speculative(
     ``None`` keeps the paper's default behaviour — unless the schedule
     itself carries a balancing suffix (``"N1-N2-B1"``), which resolves the
     matching policy automatically.  An explicit ``policy`` argument wins.
+
+    ``initial_colors``/``initial_work`` resume the loop from a partially
+    valid coloring on a restricted first work queue — the
+    incremental-recoloring entry point
+    (:func:`repro.core.incremental.recolor_incremental`).
 
     ``backend`` names any registered :class:`~repro.core.backends.ExecutionBackend`
     (see ``docs/backends.md``): ``"sim"`` (default) runs the kernels
@@ -117,7 +118,10 @@ def run_speculative(
     ``threads``, ``cost``, ``max_iterations`` and the kernel schedule (it
     is bounded by a provable ``n + 1`` rounds instead) and honouring
     ``fastpath_mode`` — ``"exact"`` for byte-identical sequential-greedy
-    colors, ``"speculative"`` for the fastest few-round variant.
+    colors, ``"speculative"`` for the fastest few-round variant.  What
+    the request needs beyond a fresh first-fit schedule — resume, an
+    adaptive controller, B1/B2, ``"sequential"`` — is checked against the
+    backend's :class:`~repro.core.backends.Capabilities` record first.
 
     Extra keyword arguments are forwarded to the backend verbatim
     (``backend_options``): the sharded backend takes ``partitioner`` /
@@ -130,76 +134,60 @@ def run_speculative(
     through the zero-overhead :class:`repro.obs.NullTracer`.
 
     Raises :class:`ColoringError` for unknown backends or schedules (the
-    message lists the valid names), and if the loop fails to converge
-    within ``max_iterations`` rounds (cannot happen for the paper's specs
-    on finite graphs, but guards pathological custom kernels).
+    message lists the valid names), for a capability the backend lacks,
+    and if the loop fails to converge within ``max_iterations`` rounds
+    (cannot happen for the paper's specs on finite graphs, but guards
+    pathological custom kernels).
     """
     engine_backend = get_backend(backend)
-    if isinstance(spec, str):
-        from repro.core.adaptive import is_adaptive_name, parse_adaptive
-
-        if is_adaptive_name(spec):
-            spec = parse_adaptive(spec)
-    if hasattr(spec, "observe"):
-        # An adaptive ScheduleController: it picks kernels and balancing
-        # per iteration from the loop's feedback, so only backends that
-        # actually drive run_plan_loop can honor it.
-        if not getattr(engine_backend, "supports_controller", False):
+    resume = initial_colors is not None or initial_work is not None
+    if spec == SEQUENTIAL:
+        if resume:
             raise ColoringError(
-                f"backend={backend!r} cannot run adaptive schedules (it "
-                "does not drive the kernel-level plan loop); use sim, "
-                "threaded or process"
+                "sequential greedy has no speculative loop to resume; name "
+                "a schedule such as 'V-V'"
             )
-        schedule = spec
-        name = spec.name
-    else:
-        schedule = ScheduleSpec.parse(spec)
-        name = (
-            spec.name
-            if isinstance(spec, (AlgorithmSpec, ScheduleSpec))
-            else schedule.name
-        )
-        # A static balancing suffix resolves one policy for the whole run;
-        # schedules with "@" switch segments leave policy=None so the plan
-        # loop can resolve the active label per iteration.
-        if policy is None and schedule.balancing != "U" and not schedule.switches:
-            policy = get_policy(schedule.balancing)
+        require_capabilities(backend, ["sequential"])
+        _reject_options(backend, backend_options)
+        return run_sequential(adapter, cost=cost, policy=policy, tracer=tracer)
+    schedule = resolve_schedule(spec)
+    controller = hasattr(schedule, "observe")
+    # A static balancing suffix resolves one policy for the whole run;
+    # schedules with "@" switch segments (and adaptive controllers) leave
+    # policy=None so the plan loop resolves the active label per iteration.
+    if (
+        policy is None
+        and not controller
+        and schedule.balancing != "U"
+        and not schedule.switches
+    ):
+        policy = get_policy(schedule.balancing)
+    wanted = {
+        "resume": resume,
+        "controller": controller,
+        "policies": policy is not None and not isinstance(policy, FirstFit),
+    }
+    require_capabilities(backend, [need for need, on in wanted.items() if on])
     return engine_backend.run(
         adapter,
         schedule,
-        name=name,
+        name=schedule.name,
         threads=threads,
         cost=cost,
         policy=policy,
         max_iterations=max_iterations,
         fastpath_mode=fastpath_mode,
         tracer=tracer,
+        initial_colors=initial_colors,
+        initial_work=initial_work,
         **backend_options,
     )
-
-
-def require_sequential_backend(backend: str, options: dict) -> None:
-    """Reject ``algorithm="sequential"`` anywhere but the default backend.
-
-    The sequential baseline (:func:`run_sequential`) always runs on the
-    simulated machine at one thread, so ``color_bgpc``/``color_d2gc``
-    dispatch it only for ``backend="sim"``; every other backend needs a
-    speculative schedule.
-    """
-    if backend != "sim":
-        raise ColoringError(
-            f"backend={backend!r} needs a speculative schedule (e.g. "
-            "algorithm='V-V'), not sequential; sequential greedy runs "
-            "only on backend='sim'"
-        )
-    _reject_options(backend, options)
 
 
 def run_sequential(
     adapter: ProblemAdapter,
     cost=None,
     policy=None,
-    name: str = "sequential",
     tracer=None,
 ) -> ColoringResult:
     """Sequential greedy baseline: one thread, one pass, no verification.
@@ -218,7 +206,9 @@ def run_sequential(
     memory = machine.make_memory(colors)
     kernel = adapter.make_vertex_color_kernel(policy if policy is not None else FirstFit())
     run_work = WorkCounters()
-    with tracer.span("run", algorithm=name, backend="sim", threads=1) as run_span:
+    with tracer.span(
+        "run", algorithm=SEQUENTIAL, backend="sim", threads=1
+    ) as run_span:
         with tracer.span(
             "phase", iteration=0, phase=PhaseKind.COLOR, kind="vertex"
         ) as phase_span:
@@ -251,7 +241,7 @@ def run_sequential(
         colors=final,
         num_colors=int(final.max()) + 1 if final.size else 0,
         iterations=[record],
-        algorithm=name,
+        algorithm=SEQUENTIAL,
         threads=1,
         cycles=machine.trace.total_cycles,
         work_metrics=run_work.as_dict(),

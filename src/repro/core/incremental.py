@@ -10,13 +10,15 @@ every inserted-into net (the two-hop rule; see
 Deletions never invalidate a valid coloring, so a delete-only delta costs
 zero kernel work.
 
-The frontier run goes through the normal
-:class:`~repro.core.backends.ExecutionBackend` registry: the engine is
-seeded with the surviving colors (``initial_colors``) and the loop's first
-work queue is the frontier (``initial_work``), so every non-frontier
-vertex keeps its color and every frontier vertex is greedily re-colored
-against the full, updated two-hop forbidden set.  The ``numpy`` backend
-cannot resume a partial coloring and is rejected by the backend itself.
+The frontier run goes through :func:`~repro.core.driver.run_speculative`
+like any other run: the engine is seeded with the surviving colors
+(``initial_colors``) and the loop's first work queue is the frontier
+(``initial_work``), so every non-frontier vertex keeps its color and every
+frontier vertex is greedily re-colored against the full, updated two-hop
+forbidden set.  Any schedule ``color_bgpc`` accepts works here, switch
+segments and adaptive controllers included; a backend whose capability
+record lacks ``resume`` (``numpy``, ``compiled``, ``sharded``) is
+rejected by the driver.
 
 Work accounting rides on the standard counters: the returned result's
 ``work_metrics`` cover only the frontier run, so comparing them against a
@@ -42,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backends import get_backend
-from repro.core.plan import ScheduleSpec
-from repro.core.policies import get_policy
+from repro.core.driver import run_speculative
+from repro.core.plan import resolve_schedule
 from repro.core.validate import validate_bgpc
 from repro.errors import ColoringError
 from repro.graph.bipartite import BipartiteGraph
@@ -148,8 +149,8 @@ def recolor_incremental(
         sweep every net each round regardless of the queue, forfeiting the
         savings — prefer ``V-*`` schedules here.
     threads / backend / cost / policy / max_iterations / tracer:
-        As in :func:`repro.core.bgpc.color_bgpc`; ``backend="numpy"`` is
-        rejected (it cannot resume a partial coloring).
+        As in :func:`repro.core.bgpc.color_bgpc`; backends that cannot
+        resume a partial coloring (e.g. ``"numpy"``) are rejected.
     validate:
         Skip the O(E·d) base-coloring validation when the caller already
         guarantees it (the service trusts its own cache).  The *result* is
@@ -176,11 +177,7 @@ def recolor_incremental(
         mutated = apply_delta(bg, delta)
     frontier = delta_frontier(mutated, delta)
 
-    schedule = ScheduleSpec.parse(algorithm)
-    name = schedule.name
-    resolved_policy = policy
-    if resolved_policy is None and schedule.balancing != "U":
-        resolved_policy = get_policy(schedule.balancing)
+    schedule = resolve_schedule(algorithm, problem="BGPC")
     cost = cost if cost is not None else CostModel()
 
     initial = np.full(mutated.num_vertices, UNCOLORED, dtype=np.int64)
@@ -189,15 +186,14 @@ def recolor_incremental(
         initial[frontier] = UNCOLORED
         from repro.core.bgpc.runner import BGPCAdapter
 
-        adapter = BGPCAdapter(mutated, cost)
-        result = get_backend(backend).run(
-            adapter,
+        result = run_speculative(
+            BGPCAdapter(mutated, cost),
             schedule,
-            name=name,
             threads=threads,
             cost=cost,
-            policy=resolved_policy,
+            policy=policy,
             max_iterations=max_iterations,
+            backend=backend,
             tracer=tracer,
             initial_colors=initial,
             initial_work=frontier,
@@ -205,7 +201,7 @@ def recolor_incremental(
     else:
         # Deletions only removed constraints: the old colors are already
         # valid on the mutated graph, at zero kernel work.
-        result = _zero_work_result(initial, name, threads, backend)
+        result = _zero_work_result(initial, schedule.name, threads, backend)
 
     validate_bgpc(mutated, result.colors)
     return IncrementalResult(

@@ -11,10 +11,9 @@ balancing policy.  This module makes that matrix first-class:
 * :meth:`ScheduleSpec.iteration_plan` resolves iteration ``i`` into a pair
   of :class:`PhasePlan` records — everything an execution backend needs to
   run that iteration's two phases, with no schedule knowledge of its own;
-* :func:`build_algorithm_table` derives the named algorithm tables
-  (``BGPC_ALGORITHMS`` / ``D2GC_ALGORITHMS``) from the parser, so
-  registering a new hybrid schedule is a parse away instead of a
-  three-file edit.
+* the named algorithm tables (``BGPC_ALGORITHMS`` /
+  ``D2GC_ALGORITHMS``) are just :data:`PAPER_SCHEDULES` parsed, so a new
+  hybrid schedule is a parse away instead of a three-file edit.
 
 Grammar (case-insensitive; ``∞`` and ``inf`` are interchangeable)::
 
@@ -64,11 +63,9 @@ __all__ = [
     "GRAMMAR_HINT",
     "PAPER_SCHEDULES",
     "BALANCING_POLICIES",
-    "AlgorithmSpec",
     "PhasePlan",
     "IterationPlan",
     "ScheduleSpec",
-    "build_algorithm_table",
     "normalize_schedule_name",
     "resolve_schedule",
     "validate_horizons",
@@ -114,48 +111,6 @@ def validate_horizons(name: str, net_color_iters: int, net_removal_iters: int) -
             f"exceed net_removal_iters ({net_removal_iters}) by at "
             "most 1 — net coloring must follow a net-based removal"
         )
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """Configuration of one named algorithm variant.
-
-    .. deprecated::
-        :class:`ScheduleSpec` (same module) supersedes this record: it
-        parses the paper's names, round-trips them, and resolves
-        per-iteration :class:`PhasePlan` records.  ``AlgorithmSpec`` is kept
-        as the stable hand-construction surface — `run_speculative` accepts
-        both — and is still importable from :mod:`repro.core.driver`.
-
-    Attributes
-    ----------
-    name:
-        Display name, e.g. ``"N1-N2"``.
-    chunk:
-        Dynamic-scheduling chunk size (1 for plain ``V-V``, 64 otherwise).
-    queue_mode:
-        ``"atomic"`` (immediate shared queue) or ``"private"`` (lazy
-        thread-private queues, the ``D`` variants) — only relevant for
-        vertex-based removal iterations.
-    net_color_iters:
-        Number of leading iterations that use net-based coloring (Alg. 8).
-    net_removal_iters:
-        Number of leading iterations that use net-based removal (Alg. 7);
-        ``INF_ITERS`` reproduces ``V-N∞``.
-    """
-
-    name: str
-    chunk: int = 64
-    queue_mode: str = QUEUE_PRIVATE
-    net_color_iters: int = 0
-    net_removal_iters: int = 0
-
-    def __post_init__(self) -> None:
-        if self.chunk < 1:
-            raise ColoringError(f"chunk must be >= 1, got {self.chunk}")
-        if self.queue_mode not in (QUEUE_ATOMIC, QUEUE_PRIVATE):
-            raise ColoringError(f"bad queue mode {self.queue_mode!r}")
-        validate_horizons(self.name, self.net_color_iters, self.net_removal_iters)
 
 
 @dataclass(frozen=True)
@@ -346,18 +301,15 @@ class ScheduleSpec:
     # -- parsing --------------------------------------------------------------
 
     @classmethod
-    def parse(cls, name: "str | ScheduleSpec | AlgorithmSpec") -> "ScheduleSpec":
+    def parse(cls, name: "str | ScheduleSpec") -> "ScheduleSpec":
         """Parse a schedule name (any alias) into a :class:`ScheduleSpec`.
 
         Accepts the paper's spellings and every alias the grammar admits:
         case-insensitive tokens, ``∞`` for ``inf``, explicit chunk/queue
-        and balancing suffixes.  An already-structured spec passes through
-        (an :class:`AlgorithmSpec` is converted field-by-field).
+        and balancing suffixes.  An already-structured spec passes through.
         """
         if isinstance(name, ScheduleSpec):
             return name
-        if isinstance(name, AlgorithmSpec):
-            return cls.from_algorithm_spec(name)
         if not isinstance(name, str):
             raise ColoringError(
                 f"schedule must be a name or spec, got {type(name).__name__}"
@@ -438,33 +390,6 @@ class ScheduleSpec:
             switches=tuple(switches),
         )
 
-    # -- conversions ----------------------------------------------------------
-
-    @classmethod
-    def from_algorithm_spec(cls, spec: AlgorithmSpec) -> "ScheduleSpec":
-        """Structured view of a hand-built :class:`AlgorithmSpec`."""
-        return cls(
-            net_color_iters=spec.net_color_iters,
-            net_removal_iters=spec.net_removal_iters,
-            chunk=spec.chunk,
-            queue_mode=spec.queue_mode,
-        )
-
-    def to_algorithm_spec(self, name: str | None = None) -> AlgorithmSpec:
-        """The backward-compatible :class:`AlgorithmSpec` of this schedule.
-
-        ``balancing`` and ``switches`` have no ``AlgorithmSpec`` field; they
-        survive in the canonical name (e.g. ``"N1-N2-B1"``,
-        ``"V-V-64D-B1@2"``) and are re-derived on parse.
-        """
-        return AlgorithmSpec(
-            name=name if name is not None else str(self),
-            chunk=self.chunk,
-            queue_mode=self.queue_mode,
-            net_color_iters=self.net_color_iters,
-            net_removal_iters=self.net_removal_iters,
-        )
-
     # -- the plan -------------------------------------------------------------
 
     def active_balancing(self, iteration: int) -> str:
@@ -513,35 +438,20 @@ def normalize_schedule_name(name: str) -> str:
     return str(ScheduleSpec.parse(name))
 
 
-def build_algorithm_table(
-    names: tuple[str, ...] = PAPER_SCHEDULES,
-) -> dict[str, AlgorithmSpec]:
-    """Derive a named algorithm table from the schedule parser.
-
-    The source of ``BGPC_ALGORITHMS`` / ``D2GC_ALGORITHMS``: each paper name
-    parses to a :class:`ScheduleSpec` whose :class:`AlgorithmSpec` view is
-    golden-pinned equal to the previously hand-written entries.
-    """
-    return {name: ScheduleSpec.parse(name).to_algorithm_spec(name) for name in names}
-
-
 def resolve_schedule(
-    algorithm: "str | ScheduleSpec | AlgorithmSpec",
-    table: dict[str, AlgorithmSpec] | None = None,
-    problem: str = "",
-) -> "ScheduleSpec | AlgorithmSpec | object":
-    """Resolve a user-facing algorithm argument to a runnable spec.
+    algorithm: "str | ScheduleSpec | object", problem: str = ""
+) -> "ScheduleSpec | object":
+    """Resolve a user-facing algorithm argument to a runnable schedule.
 
-    Structured specs pass through.  Strings are alias-normalized and looked
-    up in ``table`` first (so named schedules keep their exact registered
-    spec and display name), falling back to the parsed spec for any novel
-    combination the grammar admits (e.g. ``"N1-Ninf-B2"``).  The adaptive
-    controller names (``"adaptive"``, ``"adaptive:<threshold>"`` — see
+    Structured specs pass through; strings parse to their
+    :class:`ScheduleSpec` (any alias or novel combination the grammar
+    admits, e.g. ``"N1-Ninf-B2"``).  The adaptive controller names
+    (``"adaptive"``, ``"adaptive:<threshold>"`` — see
     :mod:`repro.core.adaptive`) resolve to a fresh
     :class:`~repro.core.adaptive.AdaptiveSchedule`.  Unknown names raise a
     :class:`~repro.errors.ColoringError` listing the valid names.
     """
-    if isinstance(algorithm, (ScheduleSpec, AlgorithmSpec)):
+    if isinstance(algorithm, ScheduleSpec):
         return algorithm
     if hasattr(algorithm, "observe") and hasattr(algorithm, "iteration_plan"):
         # A ScheduleController instance (e.g. AdaptiveSchedule) passes
@@ -554,19 +464,13 @@ def resolve_schedule(
         if is_adaptive_name(algorithm):
             return parse_adaptive(algorithm)
     try:
-        spec = ScheduleSpec.parse(algorithm)
+        return ScheduleSpec.parse(algorithm)
     except ColoringError as exc:
-        known = sorted(table) if table else list(PAPER_SCHEDULES)
         label = f"{problem} " if problem else ""
         detail = getattr(exc, "detail", "")
         reason = f" ({detail})" if detail else ""
         raise ColoringError(
             f"unknown {label}algorithm {algorithm!r}{reason}; choose from "
-            f"{known}, 'adaptive[:threshold]', or any spec matching "
-            f"{GRAMMAR_HINT}"
+            f"{sorted(PAPER_SCHEDULES)}, 'adaptive[:threshold]', or any spec "
+            f"matching {GRAMMAR_HINT}"
         ) from exc
-    if table is not None:
-        canonical = str(spec)
-        if canonical in table:
-            return table[canonical]
-    return spec

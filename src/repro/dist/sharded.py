@@ -50,6 +50,7 @@ import time
 
 import numpy as np
 
+from repro.core.backends import Capabilities
 from repro.errors import ColoringError
 from repro.types import ColoringResult, IterationRecord, UNCOLORED
 
@@ -70,8 +71,8 @@ class ShardedBackend:
     ``seed``
         Seed forwarded to the partitioner (default 0).
 
-    Only the first-fit policy is supported, and the backend cannot resume
-    from ``initial_colors``/``initial_work`` (its interior/boundary split
+    Its capability record is empty: first-fit only, and no resume from
+    ``initial_colors``/``initial_work`` (its interior/boundary split
     assumes a fresh palette).  The schedule's kernel plan is ignored — the
     superstep protocol *is* the schedule — but the spec name is kept for
     reporting.  ``REPRO_PROCESS_FAULT`` fault injection applies to the
@@ -79,6 +80,7 @@ class ShardedBackend:
     """
 
     name = "sharded"
+    capabilities = Capabilities()
 
     def run(
         self,
@@ -102,24 +104,12 @@ class ShardedBackend:
 
         from repro.core import procworker
         from repro.core.backends import ProcessPhaseEngine
-        from repro.core.policies import FirstFit
         from repro.dist.partition import get_partitioner
         from repro.dist.superstep import boundary_mask, detect_losers
         from repro.graph.bipartite import BipartiteGraph
         from repro.obs.tracer import ensure_tracer
         from repro.obs.work import WorkCounters
 
-        if policy is not None and not isinstance(policy, FirstFit):
-            raise ColoringError(
-                "backend='sharded' supports only the first-fit policy (U); "
-                f"got {type(policy).__name__} — run B1/B2 on the simulator"
-            )
-        if initial_colors is not None or initial_work is not None:
-            raise ColoringError(
-                "backend='sharded' cannot resume from a partial coloring "
-                "(its interior/boundary split assumes a fresh palette); "
-                "run incremental recoloring on sim, threaded or process"
-            )
         if not hasattr(adapter, "process_spec"):
             raise ColoringError(
                 "backend='sharded' needs an adapter with process_spec() "

@@ -14,7 +14,13 @@ picks from the :mod:`repro.core.backends` registry by instance size:
 * requests using a balancing policy other than plain first-fit fall back
   to the deterministic ``sim`` backend — the numpy and sharded engines
   support only first-fit, and routing must never change what a request
-  computes.
+  computes;
+* requests that need a capability (resume a partial coloring, run an
+  adaptive controller, run ``sequential`` — see
+  :class:`~repro.core.backends.Capabilities`) take the first tier of
+  their size class whose backend declares it, falling back to the
+  policy backend.  A pinned backend that lacks one is rejected with the
+  driver's own message.
 
 Backends with optional dependencies (``compiled`` needs numba) declare an
 ``available()`` probe and a ``fallback`` name; a size-routed pick that is
@@ -29,7 +35,9 @@ in, backend name out), so routed keys stay deterministic and cacheable.
 
 from __future__ import annotations
 
-from repro.core.backends import backend_names, get_backend
+from typing import Iterable
+
+from repro.core.backends import backend_names, get_backend, missing_capability
 from repro.errors import ServiceError
 from repro.graph.bipartite import BipartiteGraph
 
@@ -92,18 +100,19 @@ class SizeRouter:
         bg: BipartiteGraph,
         backend: str | None = None,
         policy: str = "U",
-        adaptive: bool = False,
+        needs: Iterable[str] = (),
     ) -> str:
         """The backend name a request should run on.
 
-        An explicit ``backend`` wins (validated against the registry);
-        otherwise the size/policy rules above decide.  ``adaptive`` marks a
-        request for an adaptive controller schedule (``"adaptive[:t]"``),
-        which only kernel-level backends can run: a pinned whole-array or
-        sharded backend is rejected, and the size rules pick
-        ``policy_backend`` for small instances or ``large_backend`` (never
-        the sharded tier) once real parallelism pays.
+        ``needs`` names the :class:`~repro.core.backends.Capabilities` the
+        request requires beyond a fresh first-fit schedule (``"resume"``,
+        ``"controller"``, ``"sequential"``); a non-``"U"`` ``policy`` adds
+        ``"policies"``.  An explicit ``backend`` wins (validated against the
+        registry and those needs); otherwise the size/policy rules above
+        decide, skipping tiers that lack a needed capability — an adaptive
+        or resuming request never lands on the sharded tier.
         """
+        needs = list(needs) + (["policies"] if policy != "U" else [])
         if backend is not None:
             if backend not in backend_names():
                 raise ServiceError(
@@ -116,26 +125,23 @@ class SizeRouter:
                     "(missing optional dependency); unpin the backend or "
                     "install it"
                 )
-            if adaptive and not _supports_controller(backend):
-                raise ServiceError(
-                    f"backend {backend!r} cannot run adaptive schedules "
-                    "(no kernel-level plan loop); pin sim, threaded or "
-                    "process, or unpin the backend"
-                )
+            message = missing_capability(backend, needs)
+            if message is not None:
+                raise ServiceError(message)
             return backend
         if policy != "U":
             return self.policy_backend
-        if adaptive:
-            if bg.num_edges >= self.edge_threshold and _supports_controller(
-                self.large_backend
-            ):
-                return self._degrade(self.large_backend)
-            return self.policy_backend
         if bg.num_edges >= self.sharded_threshold:
-            return self._degrade(self.huge_backend)
-        if bg.num_edges >= self.edge_threshold:
-            return self._degrade(self.large_backend)
-        return self._degrade(self.small_backend)
+            tiers = (self.huge_backend, self.large_backend)
+        elif bg.num_edges >= self.edge_threshold:
+            tiers = (self.large_backend,)
+        else:
+            tiers = (self.small_backend,)
+        for name in tiers:
+            name = self._degrade(name)
+            if missing_capability(name, needs) is None:
+                return name
+        return self.policy_backend
 
     @staticmethod
     def _degrade(name: str) -> str:
@@ -156,8 +162,3 @@ def _is_available(name: str) -> bool:
     """A backend is available unless it declares ``available() -> False``."""
     probe = getattr(get_backend(name), "available", None)
     return True if probe is None else bool(probe())
-
-
-def _supports_controller(name: str) -> bool:
-    """Whether a backend can run adaptive ``ScheduleController`` schedules."""
-    return bool(getattr(get_backend(name), "supports_controller", False))

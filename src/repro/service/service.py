@@ -45,9 +45,11 @@ import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.core.bgpc import color_bgpc, sequential_bgpc
-from repro.core.incremental import recolor_incremental
 from repro.core.adaptive import is_adaptive_name, parse_adaptive
+from repro.core.backends import backend_names, missing_capability
+from repro.core.bgpc import color_bgpc
+from repro.core.driver import SEQUENTIAL
+from repro.core.incremental import recolor_incremental
 from repro.core.plan import normalize_schedule_name
 from repro.core.policies import POLICIES, get_policy
 from repro.errors import GraphError, ReproError, ServiceError
@@ -71,6 +73,25 @@ __all__ = [
 
 def _zero_work() -> dict[str, int]:
     return {metric: 0 for metric in WORK_METRICS}
+
+
+def _canonical(algorithm: str) -> tuple[str, list[str]]:
+    """Canonical name of ``algorithm`` and the capabilities it needs."""
+    if algorithm == SEQUENTIAL:
+        return algorithm, ["sequential"]
+    adaptive = is_adaptive_name(algorithm)
+    try:
+        # Adaptive names normalize through their own grammar
+        # ("adaptive[:threshold]"); everything else through the schedule
+        # grammar.
+        name = (
+            parse_adaptive(algorithm).name
+            if adaptive
+            else normalize_schedule_name(algorithm)
+        )
+    except ReproError as exc:
+        raise ServiceError(str(exc)) from None
+    return name, ["controller"] if adaptive else []
 
 
 @dataclass
@@ -99,9 +120,10 @@ class DeltaRequest:
     every color/delta response's ``key`` prefix); ``delta`` is the edge
     change set.  The configuration fields must match a cached base
     coloring; ordering is always ``natural`` and ``fastpath_mode`` always
-    ``"exact"`` for delta requests (incremental runs resume kernel loops,
-    which the numpy fast path cannot do — an explicit or routed ``numpy``
-    backend is remapped to the deterministic ``sim``).
+    ``"exact"`` for delta requests.  Incremental runs resume kernel loops,
+    so the router sends them only to backends whose capability record
+    declares ``resume``; an explicit pin that lacks it (e.g. ``numpy``)
+    is remapped to the deterministic ``sim``.
     """
 
     fingerprint: str
@@ -270,27 +292,14 @@ class ColoringService:
                 f"unknown fastpath_mode {request.fastpath_mode!r}; choose "
                 "from ['exact', 'speculative']"
             )
-        algorithm = request.algorithm
-        adaptive = is_adaptive_name(algorithm)
-        if algorithm != "sequential":
-            try:
-                # Adaptive names normalize through their own grammar
-                # ("adaptive[:threshold]"); everything else through the
-                # schedule grammar.
-                algorithm = (
-                    parse_adaptive(algorithm).name
-                    if adaptive
-                    else normalize_schedule_name(algorithm)
-                )
-            except ReproError as exc:
-                raise ServiceError(str(exc)) from None
+        algorithm, needs = _canonical(request.algorithm)
         backend = self.router.route(
             request.graph,
             request.backend
             if request.backend is not None
             else self.default_backend,
             request.policy,
-            adaptive=adaptive,
+            needs,
         )
         threads = (
             request.threads
@@ -390,20 +399,12 @@ class ColoringService:
                 f"unknown policy {request.policy!r}; choose from "
                 f"{sorted(POLICIES)}"
             )
-        if request.algorithm == "sequential":
+        if request.algorithm == SEQUENTIAL:
             raise ServiceError(
                 "delta requests cannot use 'sequential' (there is no "
                 "speculative loop to resume); name a schedule such as V-V"
             )
-        adaptive = is_adaptive_name(request.algorithm)
-        try:
-            algorithm = (
-                parse_adaptive(request.algorithm).name
-                if adaptive
-                else normalize_schedule_name(request.algorithm)
-            )
-        except ReproError as exc:
-            raise ServiceError(str(exc)) from None
+        algorithm, needs = _canonical(request.algorithm)
         base = self._graphs.get(request.fingerprint)
         if base is None:
             raise ServiceError(
@@ -412,18 +413,18 @@ class ColoringService:
                 f"service remembers the last {self._graph_capacity} graphs)"
             )
         self._graphs.move_to_end(request.fingerprint)
-        backend = self.router.route(
-            base,
+        pinned = (
             request.backend
             if request.backend is not None
-            else self.default_backend,
-            request.policy,
-            adaptive=adaptive,
+            else self.default_backend
         )
-        if backend == "numpy":
-            # The numpy engine cannot resume a partial coloring; remap to
-            # the deterministic kernel-level backend instead of erroring.
-            backend = self.router.policy_backend
+        if pinned in backend_names() and missing_capability(pinned, ["resume"]):
+            # A pin that cannot resume a partial coloring is remapped to
+            # the deterministic policy backend instead of erroring.
+            pinned = self.router.policy_backend
+        backend = self.router.route(
+            base, pinned, request.policy, ["resume", *needs]
+        )
         threads = (
             request.threads
             if request.threads is not None
@@ -638,10 +639,6 @@ class ColoringService:
         policy = (
             None if request.policy == "U" else get_policy(request.policy)
         )
-        if request.algorithm == "sequential":
-            return sequential_bgpc(
-                request.graph, policy=policy, order=order
-            )
         return color_bgpc(
             request.graph,
             algorithm=request.algorithm,

@@ -81,11 +81,6 @@ class TestRegistry:
         finally:
             register_backend(original, replace=True)
 
-    def test_legacy_backends_tuple_still_importable(self):
-        from repro.core.driver import BACKENDS
-
-        assert "sim" in BACKENDS and "numpy" in BACKENDS
-
 
 class TestParityMatrix:
     """All named schedules × all registered backends → valid colorings."""

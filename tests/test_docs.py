@@ -16,7 +16,9 @@ Four invariants keep the docs from drifting:
   parses, and any ``"op"`` it names is an op the wire protocol defines —
   so the protocol examples in ``docs/service.md`` / ``docs/incremental.md``
   cannot drift from the server.  Objects (or lines) containing
-  placeholder tokens (``…``, ``...``, ``→``) are illustrative and skipped.
+  placeholder tokens (``…``, ``...``, ``→``) are illustrative and skipped;
+* the capability table in ``docs/backends.md`` has one row per registered
+  backend and matches each backend's ``Capabilities`` record.
 """
 
 from __future__ import annotations
@@ -292,3 +294,25 @@ def test_docstring_references_resolve(path):
     module = importlib.import_module(_module_name(path))
     bad = [ref for _, ref in refs if not _resolves(ref, module)]
     assert not bad, f"{path.relative_to(REPO_ROOT)}: unresolved references {bad}"
+
+
+def test_backend_capability_table_matches_records():
+    import dataclasses
+
+    from repro.core.backends import Capabilities, backend_names, get_backend
+
+    text = (REPO_ROOT / "docs" / "backends.md").read_text(encoding="utf-8")
+    section = text.split("## Capabilities", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ]
+    header, rows = rows[0], rows[2:]
+    names = [field.name for field in dataclasses.fields(Capabilities)]
+    assert header == ["backend", *names]
+    table = {row[0].strip("`"): [cell == "yes" for cell in row[1:]] for row in rows}
+    assert sorted(table) == sorted(backend_names())
+    for name, flags in table.items():
+        record = dataclasses.astuple(get_backend(name).capabilities)
+        assert tuple(flags) == record, name

@@ -1,4 +1,4 @@
-"""Tests for the speculative iteration driver and algorithm specs."""
+"""Tests for the speculative iteration driver and the named schedule table."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core.bgpc.runner import BGPCAdapter, BGPC_ALGORITHMS
 from repro.core.driver import (
     INF_ITERS,
-    AlgorithmSpec,
+    ScheduleSpec,
     run_sequential,
     run_speculative,
 )
@@ -16,6 +16,8 @@ from repro.machine.engine import QUEUE_ATOMIC, QUEUE_PRIVATE
 
 
 class TestAlgorithmSpec:
+    """The named algorithm table's entries and ``ScheduleSpec`` validation."""
+
     def test_paper_specs_registered(self):
         assert set(BGPC_ALGORITHMS) == {
             "V-V", "V-V-64", "V-V-64D", "V-Ninf", "V-N1", "V-N2",
@@ -44,27 +46,27 @@ class TestAlgorithmSpec:
 
     def test_rejects_bad_chunk(self):
         with pytest.raises(ColoringError):
-            AlgorithmSpec("x", chunk=0)
+            ScheduleSpec(chunk=0)
 
     def test_rejects_bad_queue(self):
         with pytest.raises(ColoringError):
-            AlgorithmSpec("x", queue_mode="shared")
+            ScheduleSpec(queue_mode="shared")
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ColoringError):
-            AlgorithmSpec("x", net_color_iters=-1)
+            ScheduleSpec(net_color_iters=-1)
 
 
 class TestDriver:
     def test_custom_spec_runs(self, medium_bipartite):
         from repro.core.validate import validate_bgpc
 
-        spec = AlgorithmSpec("custom", chunk=8, queue_mode=QUEUE_PRIVATE,
-                             net_color_iters=1, net_removal_iters=1)
+        spec = ScheduleSpec(chunk=8, queue_mode=QUEUE_PRIVATE,
+                            net_color_iters=1, net_removal_iters=1)
         adapter = BGPCAdapter(medium_bipartite, CostModel())
         result = run_speculative(adapter, spec, threads=8)
         validate_bgpc(medium_bipartite, result.colors)
-        assert result.algorithm == "custom"
+        assert result.algorithm == "N1-N1-8D"  # the canonical name
 
     def test_sequential_runner(self, medium_bipartite):
         adapter = BGPCAdapter(medium_bipartite, CostModel())
@@ -103,11 +105,11 @@ class TestDriver:
 class TestSpecSoundness:
     def test_net_coloring_must_follow_net_removal(self):
         with pytest.raises(ColoringError, match="net coloring must follow"):
-            AlgorithmSpec("bad", net_color_iters=2, net_removal_iters=0)
+            ScheduleSpec(net_color_iters=2, net_removal_iters=0)
 
     def test_one_extra_coloring_iteration_allowed(self):
         # N1-N2-like shapes: one net coloring before the first removal.
-        spec = AlgorithmSpec("ok", net_color_iters=1, net_removal_iters=0)
+        spec = ScheduleSpec(net_color_iters=1, net_removal_iters=0)
         assert spec.net_color_iters == 1
 
     def test_registered_specs_all_sound(self):

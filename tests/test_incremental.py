@@ -314,3 +314,61 @@ def test_incremental_equivalent_to_full_on_random_deltas(data):
     bound = max(base.num_colors, _two_hop_bound(mutated) + 1)
     assert lower <= inc.num_colors <= bound
     assert lower <= full.num_colors <= bound
+
+
+class TestScheduleResolution:
+    """The frontier run resolves its schedule exactly like ``color_bgpc``."""
+
+    @pytest.fixture
+    def clique_delta(self, golden_graph):
+        # A new net over every 4th vertex: its 40 members race on 8
+        # simulated threads, so the frontier run takes several iterations.
+        bg = golden_graph
+        return GraphDelta(insert=[(v, bg.num_nets) for v in range(0, 160, 4)])
+
+    def test_adaptive_schedule_runs(self, golden_graph, clique_delta):
+        bg = golden_graph
+        base = color_bgpc(bg, algorithm="adaptive", threads=8)
+        inc = recolor_incremental(
+            bg, base.colors, clique_delta, algorithm="adaptive", threads=8
+        )
+        validate_bgpc(inc.graph, inc.colors)
+        assert inc.result.algorithm == "adaptive"
+
+    def test_switch_segments_honoured(self, golden_graph, clique_delta,
+                                      monkeypatch):
+        from repro.core.backends import SimPhaseEngine
+        from repro.core.bgpc.runner import BGPCAdapter
+        from repro.types import PhaseKind
+
+        built = {}
+        make_kernel = BGPCAdapter.make_vertex_color_kernel
+
+        def spy_make_kernel(self, policy):
+            kernel = make_kernel(self, policy)
+            built[kernel] = type(policy).__name__
+            return kernel
+
+        ran = []
+        run_phase = SimPhaseEngine.run_phase
+
+        def spy_run_phase(self, plan, n_tasks, kernel, task_ids=None,
+                          scan_items=0):
+            if plan.phase == PhaseKind.COLOR:
+                ran.append(built[kernel])
+            return run_phase(self, plan, n_tasks, kernel, task_ids, scan_items)
+
+        monkeypatch.setattr(
+            BGPCAdapter, "make_vertex_color_kernel", spy_make_kernel
+        )
+        monkeypatch.setattr(SimPhaseEngine, "run_phase", spy_run_phase)
+        bg = golden_graph
+        base = color_bgpc(bg, algorithm="V-V", threads=4)
+        ran.clear()
+        inc = recolor_incremental(
+            bg, base.colors, clique_delta, algorithm="V-V-B1-B2@1", threads=8
+        )
+        validate_bgpc(inc.graph, inc.colors)
+        # Iteration 0 runs the base B1 policy, every later one the B2 switch.
+        assert len(ran) >= 2
+        assert ran == ["B1Policy"] + ["B2Policy"] * (len(ran) - 1)

@@ -1,4 +1,4 @@
-"""Schedule-spec grammar: parsing, round-trips, derived algorithm tables.
+"""Schedule-spec grammar: parsing, round-trips, the named algorithm tables.
 
 The acceptance bar of the plan/engine refactor: ``ScheduleSpec.parse``
 round-trips all 8 paper schedules (plus ``-B1``/``-B2`` variants), alias
@@ -14,9 +14,7 @@ from repro.core.plan import (
     BALANCING_POLICIES,
     INF_ITERS,
     PAPER_SCHEDULES,
-    AlgorithmSpec,
     ScheduleSpec,
-    build_algorithm_table,
     normalize_schedule_name,
     resolve_schedule,
     validate_horizons,
@@ -192,7 +190,7 @@ class TestParseErrors:
 
     def test_horizon_invariant_enforced(self):
         # Net coloring must follow a net-based removal (invariant lives in
-        # validate_horizons, shared with the legacy AlgorithmSpec).
+        # validate_horizons).
         with pytest.raises(ColoringError, match="net coloring must follow"):
             ScheduleSpec.parse("N2-V")
         with pytest.raises(ColoringError, match="net coloring must follow"):
@@ -201,31 +199,30 @@ class TestParseErrors:
 
     def test_resolver_lists_known_names(self):
         with pytest.raises(ColoringError, match="unknown BGPC algorithm"):
-            resolve_schedule("nope", build_algorithm_table(), problem="BGPC")
+            resolve_schedule("nope", problem="BGPC")
 
 
 class TestDerivedTables:
-    #: The hand-written tables this refactor replaced, pinned verbatim.
+    #: The paper's table, pinned field by field.
     GOLDEN = {
-        "V-V": AlgorithmSpec("V-V", chunk=1, queue_mode=QUEUE_ATOMIC),
-        "V-V-64": AlgorithmSpec("V-V-64", chunk=64, queue_mode=QUEUE_ATOMIC),
-        "V-V-64D": AlgorithmSpec("V-V-64D", chunk=64, queue_mode=QUEUE_PRIVATE),
-        "V-Ninf": AlgorithmSpec(
-            "V-Ninf", chunk=64, queue_mode=QUEUE_PRIVATE,
-            net_removal_iters=INF_ITERS,
+        "V-V": ScheduleSpec(chunk=1, queue_mode=QUEUE_ATOMIC),
+        "V-V-64": ScheduleSpec(chunk=64, queue_mode=QUEUE_ATOMIC),
+        "V-V-64D": ScheduleSpec(chunk=64, queue_mode=QUEUE_PRIVATE),
+        "V-Ninf": ScheduleSpec(
+            chunk=64, queue_mode=QUEUE_PRIVATE, net_removal_iters=INF_ITERS
         ),
-        "V-N1": AlgorithmSpec(
-            "V-N1", chunk=64, queue_mode=QUEUE_PRIVATE, net_removal_iters=1
+        "V-N1": ScheduleSpec(
+            chunk=64, queue_mode=QUEUE_PRIVATE, net_removal_iters=1
         ),
-        "V-N2": AlgorithmSpec(
-            "V-N2", chunk=64, queue_mode=QUEUE_PRIVATE, net_removal_iters=2
+        "V-N2": ScheduleSpec(
+            chunk=64, queue_mode=QUEUE_PRIVATE, net_removal_iters=2
         ),
-        "N1-N2": AlgorithmSpec(
-            "N1-N2", chunk=64, queue_mode=QUEUE_PRIVATE,
+        "N1-N2": ScheduleSpec(
+            chunk=64, queue_mode=QUEUE_PRIVATE,
             net_color_iters=1, net_removal_iters=2,
         ),
-        "N2-N2": AlgorithmSpec(
-            "N2-N2", chunk=64, queue_mode=QUEUE_PRIVATE,
+        "N2-N2": ScheduleSpec(
+            chunk=64, queue_mode=QUEUE_PRIVATE,
             net_color_iters=2, net_removal_iters=2,
         ),
     }
@@ -239,9 +236,6 @@ class TestDerivedTables:
         from repro.core.d2gc import D2GC_ALGORITHMS
 
         assert D2GC_ALGORITHMS == self.GOLDEN
-
-    def test_build_table_matches_golden(self):
-        assert build_algorithm_table() == self.GOLDEN
 
 
 class TestIterationPlan:
@@ -267,30 +261,3 @@ class TestIterationPlan:
     def test_balancing_carried_into_plans(self):
         plan = ScheduleSpec.parse("V-V-B2").iteration_plan(0)
         assert plan.color.balancing == "B2"
-
-
-class TestCompatShims:
-    def test_algorithm_spec_importable_from_driver(self):
-        from repro.core.driver import AlgorithmSpec as DriverSpec
-
-        assert DriverSpec is AlgorithmSpec
-
-    def test_run_speculative_accepts_algorithm_spec(self, rng):
-        import numpy as np
-
-        from repro.core.bgpc.runner import BGPCAdapter
-        from repro.core.driver import run_speculative
-        from repro.graph import bipartite_from_dense
-        from repro.machine.cost import CostModel
-
-        bg = bipartite_from_dense((rng.random((15, 20)) < 0.2).astype(int))
-        adapter = BGPCAdapter(bg, CostModel())
-        legacy = AlgorithmSpec("custom", chunk=8, queue_mode=QUEUE_PRIVATE)
-        result = run_speculative(adapter, legacy, threads=4, backend="sim")
-        assert result.algorithm == "custom"
-        assert np.all(result.colors >= 0)
-
-    def test_spec_conversions_preserve_fields(self):
-        spec = ScheduleSpec.parse("N1-N2")
-        legacy = spec.to_algorithm_spec("N1-N2")
-        assert ScheduleSpec.from_algorithm_spec(legacy) == spec

@@ -166,22 +166,22 @@ class TestRouter:
 
     def test_adaptive_small_routes_to_policy_backend(self, bg):
         router = SizeRouter(edge_threshold=bg.num_edges + 1)
-        assert router.route(bg, adaptive=True) == "sim"
+        assert router.route(bg, needs=["controller"]) == "sim"
 
     def test_adaptive_large_routes_to_process_never_sharded(self, bg):
         router = SizeRouter(edge_threshold=1, sharded_threshold=1)
         # Even past the sharded threshold, adaptive stays on the process
         # tier: the sharded backend has no kernel-level plan loop.
-        assert router.route(bg, adaptive=True) == "process"
+        assert router.route(bg, needs=["controller"]) == "process"
 
     def test_adaptive_pinned_controller_backend_ok(self, bg):
-        assert SizeRouter().route(bg, backend="sim", adaptive=True) == "sim"
+        assert SizeRouter().route(bg, backend="sim", needs=["controller"]) == "sim"
 
     def test_adaptive_pinned_whole_array_rejected(self, bg):
         with pytest.raises(ServiceError, match="cannot run adaptive"):
-            SizeRouter().route(bg, backend="numpy", adaptive=True)
+            SizeRouter().route(bg, backend="numpy", needs=["controller"])
         with pytest.raises(ServiceError, match="cannot run adaptive"):
-            SizeRouter().route(bg, backend="sharded", adaptive=True)
+            SizeRouter().route(bg, backend="sharded", needs=["controller"])
 
 
 # -- in-process service -----------------------------------------------------
@@ -628,6 +628,59 @@ class TestDeltaOp:
 
         resp = _run(run())
         assert resp.backend == "sim"  # numpy cannot resume partial colorings
+
+    def test_sharded_tier_delta_runs_on_resumable_backend(self):
+        from repro.core.backends import get_backend
+        from repro.core.validate import validate_bgpc
+        from repro.datasets.registry import load_dataset
+        from repro.graph.delta import apply_delta
+
+        graph = load_dataset("channel", "tiny")
+        delta = GraphDelta(insert=[(0, graph.num_nets)])
+        router = SizeRouter(edge_threshold=0, sharded_threshold=0)
+
+        async def run():
+            async with ColoringService(router=router) as service:
+                unpinned = ColoringRequest(graph=graph, algorithm="V-V", threads=2)
+                colored = await service.submit(unpinned)
+                # The delta resumes on the first resumable tier; its base
+                # must be cached under that backend.
+                unpinned.backend = "process"
+                await service.submit(unpinned)
+                resp = await service.submit_delta(
+                    DeltaRequest(
+                        fingerprint=graph_fingerprint(graph), delta=delta,
+                        algorithm="V-V", threads=2,
+                    )
+                )
+                return colored, resp
+
+        colored, resp = _run(run())
+        assert colored.backend == "sharded"
+        assert resp.backend == "process"
+        assert get_backend(resp.backend).capabilities.resume
+        validate_bgpc(apply_delta(graph, delta), resp.result.colors)
+
+    def test_adaptive_delta_runs(self, bg):
+        from repro.core.validate import validate_bgpc
+        from repro.graph.delta import apply_delta
+
+        config = dict(algorithm="adaptive", backend="sim", threads=2)
+        delta = GraphDelta(insert=[(0, 1)])
+
+        async def run():
+            async with ColoringService() as service:
+                await service.submit(ColoringRequest(graph=bg, **config))
+                return await service.submit_delta(
+                    DeltaRequest(
+                        fingerprint=graph_fingerprint(bg), delta=delta, **config
+                    )
+                )
+
+        resp = _run(run())
+        assert resp.result.algorithm == "adaptive"
+        assert resp.frontier_size > 0
+        validate_bgpc(apply_delta(bg, delta), resp.result.colors)
 
     def test_delta_from_wire_validation(self):
         delta = delta_from_wire({"insert": [[0, 1]], "delete": [[2, 3]]})
