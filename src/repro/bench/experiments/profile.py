@@ -6,8 +6,8 @@ iterations, which is what justifies the hybrid ``V-N1``/``N1-N2`` kernel
 schedules.  This experiment renders the :mod:`repro.obs` per-iteration
 breakdown for a vertex-based baseline and the paper's winner on the
 coPapers-like instance — on the simulator (cycles), on the NumPy fast
-path, and on real threads (both in measured wall milliseconds) — so the
-iteration-dominance shape can be eyeballed in one table.
+path, and on the worker-process pool (both in measured wall milliseconds)
+— so the iteration-dominance shape can be eyeballed in one table.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from repro.bench.tables import Experiment
 __all__ = ["run", "PROFILE_ALGS"]
 
 #: (algorithm, backend, fastpath mode) combinations profiled.  Wall-clock
-#: backends (numpy, threaded) report measured milliseconds per round.
+#: backends (numpy, process) report measured milliseconds per round.
 PROFILE_ALGS = (
     ("V-V-64D", "sim", "exact"),
     ("N1-N2", "sim", "exact"),
     ("N1-N2", "numpy", "speculative"),
-    ("V-V-64D", "threaded", "exact"),
+    ("V-V-64D", "process", "exact"),
 )
 
 

@@ -1,24 +1,19 @@
 """Scaling — measured wall-clock speedup vs worker count (Figure 2's shape).
 
 The paper's Figure 2 plots *real* multicore speedup curves on a 16-core
-Xeon; the simulator reproduces their shape in cycles, but only the
-wall-clock backends can reproduce them in seconds.  This experiment sweeps
-worker counts on the two real-parallel backends over the default synthetic
-BGPC instance and reports measured speedup-vs-threads:
+Xeon; the simulator reproduces their shape in cycles, but only a
+wall-clock backend with genuinely overlapping workers can reproduce them
+in seconds.  This experiment sweeps worker counts on the ``process``
+backend — the shared-memory worker-process pool
+(:class:`repro.core.backends.ProcessBackend`) — over the default
+synthetic BGPC instance and reports measured speedup-vs-workers.  Kernels
+genuinely overlap, so wall-clock drops as workers are added until IPC
+dispatch overhead bites.
 
-* ``threaded`` — real Python threads: the GIL interleaves, so the curve is
-  flat (or worse); included as the baseline that motivates the process
-  backend.
-* ``process`` — the shared-memory worker-process pool
-  (:class:`repro.core.backends.ProcessBackend`): kernels genuinely
-  overlap, so wall-clock drops as workers are added until IPC dispatch
-  overhead bites.
-
-Speedup is normalized per backend (one worker of the same backend = 1.0),
-so the two curves isolate *scaling* from per-backend constant factors; the
-notes line compares the two backends head-to-head at the top sweep point,
-which is the reproduction of the paper's headline claim that greedy
-speculative coloring scales on real cores.
+Speedup is normalized to one worker, so the curve isolates *scaling* from
+constant factors; the notes line quotes the speedup at the top sweep
+point, which is the reproduction of the paper's headline claim that
+greedy speculative coloring scales on real cores.
 """
 
 from __future__ import annotations
@@ -28,10 +23,10 @@ import os
 from repro.bench.runner import run_algorithm
 from repro.bench.tables import Experiment
 
-__all__ = ["run", "SCALING_BACKENDS", "SCALING_ALG"]
+__all__ = ["run", "SCALING_BACKEND", "SCALING_ALG"]
 
-#: Real-parallel (wall-clock) backends the sweep compares.
-SCALING_BACKENDS = ("threaded", "process")
+#: The real-parallel (wall-clock) backend the sweep measures.
+SCALING_BACKEND = "process"
 
 #: The paper's engineered vertex-based schedule: heavy per-task kernels
 #: with dynamic chunk-64 dispatch — the most scheduler-sensitive variant.
@@ -47,48 +42,38 @@ def _sweep(max_threads: int) -> tuple[int, ...]:
 
 
 def run(scale: str = "small", threads: int = 4, dataset: str = "copapers") -> Experiment:
-    """Sweep worker counts on both wall-clock backends; render speedups."""
+    """Sweep worker counts on the process backend; render speedups."""
     sweep = _sweep(max(1, threads))
-    header = ["backend", "workers", "wall ms", "speedup", "efficiency"]
+    header = ["workers", "wall ms", "speedup", "efficiency"]
     rows: list[tuple] = []
-    walls: dict[tuple[str, int], float] = {}
-    for backend in SCALING_BACKENDS:
-        base = None
-        for t in sweep:
-            result = run_algorithm(
-                dataset, SCALING_ALG, t, scale, backend=backend
-            )
-            wall = result.wall_seconds
-            walls[(backend, t)] = wall
-            if base is None:
-                base = wall
-            speedup = base / wall if wall > 0 else float("nan")
-            rows.append((backend, t, wall * 1e3, speedup, speedup / t))
+    walls: dict[int, float] = {}
+    for t in sweep:
+        result = run_algorithm(
+            dataset, SCALING_ALG, t, scale, backend=SCALING_BACKEND
+        )
+        walls[t] = wall = result.wall_seconds
+        speedup = walls[1] / wall if wall > 0 else float("nan")
+        rows.append((t, wall * 1e3, speedup, speedup / t))
     top = sweep[-1]
-    ratio = (
-        walls[("threaded", top)] / walls[("process", top)]
-        if walls.get(("process", top))
-        else float("nan")
-    )
     cores = os.cpu_count() or 1
     notes = (
-        f"{SCALING_ALG} on {dataset}/{scale}; speedup is vs 1 worker of the "
-        f"same backend.  At {top} workers the process backend is "
-        f"{ratio:.2f}x the threaded wall-clock (GIL interleaves, processes "
-        "overlap) — the paper's Figure 2 shows the same schedules reaching "
-        f"near-linear speedup on 16 real cores.  This host has {cores} "
-        "core(s); with fewer cores than workers the curves measure dispatch "
-        "overhead only, since no backend can physically overlap kernels."
+        f"{SCALING_ALG} on {dataset}/{scale}; speedup is vs 1 worker.  At "
+        f"{top} workers the {SCALING_BACKEND} backend reaches "
+        f"{rows[-1][2]:.2f}x — the paper's Figure 2 shows the same schedules "
+        f"reaching near-linear speedup on 16 real cores.  This host has "
+        f"{cores} core(s); with fewer cores than workers the curve measures "
+        "dispatch overhead only, since no backend can physically overlap "
+        "kernels."
     )
     return Experiment(
         id="scaling",
         title=f"wall-clock speedup vs workers on {dataset} "
-        f"(threaded vs process backends, up to {top} workers)",
+        f"({SCALING_BACKEND} backend, up to {top} workers)",
         header=header,
         rows=rows,
         notes=notes,
         data={
-            "walls": {f"{b}/{t}": w for (b, t), w in walls.items()},
+            "walls": {f"{SCALING_BACKEND}/{t}": w for t, w in walls.items()},
             "host_cores": cores,
         },
     )

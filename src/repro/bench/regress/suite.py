@@ -9,9 +9,9 @@ byte-for-byte reproducible across runs and machines:
 * ``sim`` is the cycle-accurate machine — deterministic at any simulated
   thread count, so those cases also pin the simulated ``cycles``;
 * ``numpy`` is single-process vectorized code — deterministic;
-* ``threaded`` and ``process`` race for real with >1 worker, so their
-  cases run with **one** worker: the point is covering their code paths
-  (local-counter merge, cross-process aggregation), not their races;
+* ``process`` races for real with >1 worker, so its case runs with
+  **one** worker: the point is covering its code path (cross-process
+  counter aggregation), not its races;
 * ``sharded`` commits only at superstep barriers, so it is deterministic
   at **any** shard count — its multi-shard cases additionally pin the
   ``shard.*`` structure metrics (boundary size, supersteps, exchanged
@@ -165,11 +165,7 @@ def default_suite() -> list[BenchCase]:
             "d2gc/numpy-spec", "d2gc", "uni-small", "N1-N2",
             backend="numpy", threads=1, fastpath_mode="speculative",
         ),
-        # Real-parallel backends pinned to one worker (see module docstring).
-        BenchCase(
-            "bgpc/N1-N2/threaded1", "bgpc", "bip-small", "N1-N2",
-            backend="threaded", threads=1,
-        ),
+        # The real-parallel backend pinned to one worker (see module docstring).
         BenchCase(
             "bgpc/N1-N2/process1", "bgpc", "bip-small", "N1-N2",
             backend="process", threads=1,

@@ -3,8 +3,8 @@
 Several experiments need the same ``(dataset, algorithm, threads, order,
 policy)`` run — Table III, Table IV and Figure 2 all consume the Figure 2
 matrix — so results are memoized per process.  The sim and numpy backends
-are deterministic, so caching never changes their results; threaded runs
-are pinned to their first outcome within a process.
+are deterministic, so caching never changes their results; multi-worker
+process runs are pinned to their first outcome within a process.
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ def run_algorithm(
 
     ``backend`` accepts any name from the execution-backend registry
     (:func:`repro.core.backends.backend_names`): ``"numpy"`` runs the
-    vectorized fast path and ``"threaded"`` runs real Python threads;
+    vectorized fast path and ``"process"`` runs a worker-process pool;
     both carry wall seconds rather than cycles, so the cycle-based
-    experiment tables should keep the default ``"sim"``.  Threaded runs
-    are nondeterministic across processes; memoization within a process
-    still returns one stable result per key.
+    experiment tables should keep the default ``"sim"``.  Multi-worker
+    process runs are nondeterministic across processes; memoization
+    within a process still returns one stable result per key.
     """
     key = (
         "par",

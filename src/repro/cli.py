@@ -6,8 +6,7 @@ Usage::
     python -m repro input.mtx --problem d2gc --ordering smallest-last
     python -m repro input.mtx --policy B2 --output colors.txt
     python -m repro input.mtx --backend numpy --fastpath-mode speculative
-    python -m repro input.mtx --backend threaded --algo V-V-64D
-    python -m repro input.mtx --backend process --threads 4
+    python -m repro input.mtx --backend process --threads 4 --algo V-V-64D
     python -m repro input.mtx --backend sharded --shards 4 --partitioner bfs
     python -m repro input.mtx --profile --trace run.jsonl
     python -m repro input.mtx --work-metrics
@@ -42,6 +41,16 @@ from repro.graph.mmio import read_matrix_market
 from repro.graph.ops import bipartite_to_graph
 from repro.order import ORDERINGS, get_ordering
 
+#: The execution clause of the summary's ``problem :`` line, per backend;
+#: backends without an entry print the ``sim`` clause.
+_BACKEND_CLAUSES = {
+    "sim": "{threads} simulated threads",
+    "numpy": "numpy backend ({mode} mode)",
+    "compiled": "compiled backend (numba, {mode} mode)",
+    "process": "{threads} worker processes (process backend, shared memory)",
+    "sharded": "{threads} shards (sharded backend, {partitioner} partition)",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for ``python -m repro``."""
@@ -74,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=16,
-        help="simulated cores for --backend sim, real threads for "
-        "threaded, worker processes for process (default 16)",
+        help="simulated cores for --backend sim, worker processes for "
+        "process (default 16)",
     )
     parser.add_argument(
         "--backend",
@@ -84,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend: the cycle-accurate simulator (sim, "
         "default), the vectorized wall-clock NumPy fast path (numpy), "
         "its numba-JIT twin (compiled, needs numba installed), "
-        "real Python threads (threaded), a shared-memory worker-process "
-        "pool (process), or partitioned superstep coloring on that pool "
+        "a shared-memory worker-process pool (process), or partitioned superstep coloring on that pool "
         "(sharded); see docs/backends.md and docs/sharding.md",
     )
     parser.add_argument(
@@ -313,31 +321,13 @@ def _run(args, bg, policy, tracer=None, delta=None) -> int:
     if policy_label == "U" and result.algorithm.endswith(("-B1", "-B2")):
         policy_label = result.algorithm.rsplit("-", 1)[1]
     print(f"instance : {args.matrix} ({sizes})")
-    if result.backend == "numpy":
-        print(f"problem  : {args.problem}, algorithm {result.algorithm}, "
-              f"numpy backend ({args.fastpath_mode} mode), "
-              f"ordering {args.ordering}, policy {policy_label}")
-    elif result.backend == "compiled":
-        print(f"problem  : {args.problem}, algorithm {result.algorithm}, "
-              f"compiled backend (numba, {args.fastpath_mode} mode), "
-              f"ordering {args.ordering}, policy {policy_label}")
-    elif result.backend == "threaded":
-        print(f"problem  : {args.problem}, algorithm {result.algorithm}, "
-              f"{result.threads} real threads (threaded backend), "
-              f"ordering {args.ordering}, policy {policy_label}")
-    elif result.backend == "process":
-        print(f"problem  : {args.problem}, algorithm {result.algorithm}, "
-              f"{result.threads} worker processes (process backend, shared "
-              f"memory), ordering {args.ordering}, policy {policy_label}")
-    elif result.backend == "sharded":
-        print(f"problem  : {args.problem}, algorithm {result.algorithm}, "
-              f"{result.threads} shards (sharded backend, "
-              f"{args.partitioner or 'bfs'} partition), "
-              f"ordering {args.ordering}, policy {policy_label}")
-    else:
-        print(f"problem  : {args.problem}, algorithm {result.algorithm}, "
-              f"{result.threads} simulated threads, ordering {args.ordering}, "
-              f"policy {policy_label}")
+    clause = _BACKEND_CLAUSES.get(result.backend, _BACKEND_CLAUSES["sim"]).format(
+        threads=result.threads,
+        mode=args.fastpath_mode,
+        partitioner=args.partitioner or "bfs",
+    )
+    print(f"problem  : {args.problem}, algorithm {result.algorithm}, {clause}, "
+          f"ordering {args.ordering}, policy {policy_label}")
     print(f"colors   : {result.num_colors} (lower bound {lower})")
     print(f"rounds   : {result.num_iterations}, conflicts {result.total_conflicts}")
     if result.backend == "sim":

@@ -10,7 +10,7 @@ Public entry points:
 * schedule specs in :mod:`repro.core.plan` (``ScheduleSpec``,
   ``normalize_schedule_name``) — the paper's ``X-Y`` grammar, parsed
 * execution backends in :mod:`repro.core.backends`
-  (``register_backend``/``get_backend``; ``sim``, ``numpy``, ``threaded``)
+  (``register_backend``/``get_backend``; ``sim``, ``numpy``, ``process``)
 * the vectorized NumPy backend in :mod:`repro.core.fastpath`
   (``fastpath_color_bgpc``, ``fastpath_color_d2gc``, ``run_fastpath``)
 """

@@ -17,7 +17,7 @@ The hook is the :class:`ScheduleController` protocol: anything with
 ``iteration_plan(i)`` (like a plain :class:`~repro.core.plan.ScheduleSpec`)
 plus ``observe(...)``/``reset()`` feedback methods can drive
 :func:`~repro.core.backends.run_plan_loop`.  Only kernel-level backends
-(``sim``, ``threaded``, ``process``) run the plan loop; the whole-array
+(``sim``, ``process``) run the plan loop; the whole-array
 and sharded backends reject controllers with a one-line error.
 
 **Determinism contract:** controller decisions are pure functions of the

@@ -4,7 +4,7 @@ The schedule layer (:mod:`repro.core.plan`) decides *what* each iteration
 does; this module decides *where* it executes.  An
 :class:`ExecutionBackend` takes a problem adapter plus a
 :class:`~repro.core.plan.ScheduleSpec` and returns a
-:class:`~repro.types.ColoringResult`; three are registered out of the box:
+:class:`~repro.types.ColoringResult`; five are registered out of the box:
 
 ``"sim"``
     :class:`SimBackend` — the cycle-accurate discrete-event multicore of
@@ -13,11 +13,6 @@ does; this module decides *where* it executes.  An
 ``"numpy"``
     :class:`NumpyBackend` — the vectorized whole-array engine of
     :mod:`repro.core.fastpath` (host wall-clock; first-fit only).
-``"threaded"``
-    :class:`ThreadedBackend` — the same per-task kernels on *real* Python
-    threads (:class:`repro.machine.threaded.ThreadedExecutor`), with
-    genuine GIL-interleaved races; wall-clock, nondeterministic colors,
-    guaranteed-valid results.
 ``"process"``
     :class:`ProcessBackend` — the same kernels on a persistent pool of
     *worker processes* with the color array, work queue and CSR graph in
@@ -28,12 +23,16 @@ does; this module decides *where* it executes.  An
     :class:`repro.core.compiled.CompiledBackend` — the fast path's round
     loops JIT-compiled with numba (optional dependency; byte-identical to
     ``numpy``, one-line error when numba is missing).
+``"sharded"``
+    :class:`repro.dist.sharded.ShardedBackend` — partitioned interior
+    coloring plus boundary supersteps on the ``process`` worker pool.
 
-``sim``, ``threaded`` and ``process`` are *kernel-level* backends: all
-drive the same backend-agnostic loop (:func:`run_plan_loop`), which asks
-the plan for each iteration's :class:`~repro.core.plan.PhasePlan` pair and
-a :class:`PhaseEngine` to execute it.  ``numpy`` replaces the whole loop
-with array rounds.  Registering a new backend is one
+``sim`` and ``process`` are *kernel-level* backends: both drive the same
+backend-agnostic loop (:func:`run_plan_loop`), which asks the plan for
+each iteration's :class:`~repro.core.plan.PhasePlan` pair and a
+:class:`PhaseEngine` to execute it.  ``numpy`` replaces the whole loop
+with array rounds.  Every loop records its run through one
+:class:`RunRecorder`.  Registering a new backend is one
 :func:`register_backend` call — the driver, runners, CLI and bench pick it
 up with zero edits (see ``docs/backends.md``).
 """
@@ -64,8 +63,8 @@ __all__ = [
     "PhaseEngine",
     "SimBackend",
     "NumpyBackend",
-    "ThreadedBackend",
     "ProcessBackend",
+    "RunRecorder",
     "backend_names",
     "get_backend",
     "missing_capability",
@@ -163,47 +162,6 @@ class SimPhaseEngine:
         return self.machine.trace.total_cycles
 
 
-class ThreadedPhaseEngine:
-    """Kernel-level engine on real Python threads (``backend="threaded"``).
-
-    Writes are immediate and unsynchronized, so races (and therefore
-    conflicts) are genuine GIL interleavings — nondeterministic across
-    runs, always resolved by the speculative loop.  Queue appends always
-    use thread-private lists merged at the phase barrier; the plan's
-    ``queue_mode`` is accepted but not distinguished.
-    """
-
-    clocked = False
-
-    def __init__(self, initial_colors: np.ndarray, threads: int, cost=None, tracer=None):
-        from repro.machine.threaded import ThreadedExecutor
-
-        self.executor = ThreadedExecutor(threads)
-        self.colors = np.array(initial_colors, dtype=np.int64, copy=True)
-        self.last_work = None
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.colors
-
-    def run_phase(self, plan, n_tasks, kernel, task_ids=None, scan_items=0):
-        from repro.obs.work import WorkCounters
-
-        self.last_work = work = WorkCounters()
-        queued = self.executor.parallel_for(
-            n_tasks, kernel, self.colors, chunk=plan.chunk, task_ids=task_ids,
-            work=work,
-        )
-        return None, queued
-
-    def snapshot(self) -> np.ndarray:
-        return self.colors.copy()
-
-    @property
-    def total_cycles(self) -> float:
-        return 0.0
-
-
 class ProcessPhaseEngine:
     """Kernel-level engine on a worker-process pool (``backend="process"``).
 
@@ -262,12 +220,9 @@ class ProcessPhaseEngine:
         self.last_work = None
         segments = {}
         try:
-            initial = (
-                np.full(adapter.n_targets, UNCOLORED, dtype=np.int64)
-                if initial_colors is None
-                else np.array(initial_colors, dtype=np.int64, copy=True)
+            shm, self.colors, segments["colors"] = procworker.create_segment(
+                _initial_colors(adapter, initial_colors)
             )
-            shm, self.colors, segments["colors"] = procworker.create_segment(initial)
             self._shms.append(shm)
             shm, self.work, segments["work"] = procworker.create_segment(
                 np.zeros(adapter.n_targets, dtype=np.int64)
@@ -471,6 +426,140 @@ def _set_phase_span(span, timing, n_tasks, conflicts=None) -> None:
     span.set(**attrs)
 
 
+def _initial_colors(adapter, initial_colors) -> np.ndarray:
+    """A fresh int64 color array: all uncolored, or a checked copy of ``initial_colors``."""
+    if initial_colors is None:
+        return np.full(adapter.n_targets, UNCOLORED, dtype=np.int64)
+    colors = np.array(initial_colors, dtype=np.int64, copy=True)
+    if colors.shape != (adapter.n_targets,):
+        raise ColoringError(
+            f"initial_colors must have shape ({adapter.n_targets},), "
+            f"got {colors.shape}"
+        )
+    return colors
+
+
+def _num_colors(colors: np.ndarray) -> int:
+    return int(colors.max()) + 1 if colors.size else 0
+
+
+class RunRecorder:
+    """How a run is recorded: one path for every loop in the package.
+
+    Used as ``with RunRecorder(...) as rec:`` around the loop.  Entering
+    opens the ``run`` span with ``algorithm``/``backend`` plus
+    ``span_attrs`` (a ``threads`` attribute is also the result's thread
+    count, default 1).  Inside, :meth:`add_work` folds one phase's
+    :class:`~repro.obs.work.WorkCounters` into the run totals and emits them,
+    :meth:`record` appends one :class:`~repro.types.IterationRecord` under
+    the palette high-water rule, and :meth:`close` stamps the final colors
+    on the span (a ``cycles`` attribute is also the result's simulated
+    cycle count, default 0).  After the block, :meth:`result` checks that no vertex is
+    left uncolored and assembles the :class:`~repro.types.ColoringResult`.
+
+    ``clocked`` runs (simulated cycles) report zero wall seconds; the
+    others are timed from construction, so work done between constructing
+    the recorder and entering it (pool setup) counts toward the run.
+    """
+
+    def __init__(
+        self, tracer, name: str, backend: str, *, clocked: bool = False, **span_attrs
+    ):
+        from repro.obs.work import WorkCounters
+
+        self.tracer = tracer
+        self.name = name
+        self.backend = backend
+        self.clocked = clocked
+        self.threads = span_attrs.get("threads", 1)
+        self.records: list[IterationRecord] = []
+        self.work = WorkCounters()
+        self._attrs = {"algorithm": name, "backend": backend, **span_attrs}
+        self._palette = 0
+        self._final = None
+        self._cycles = 0.0
+        self._start = time.perf_counter()
+
+    def __enter__(self) -> "RunRecorder":
+        self.span = self.tracer.span("run", **self._attrs).__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return self.span.__exit__(exc_type, exc, tb)
+
+    def add_work(self, work, **attrs) -> None:
+        """Fold one phase's counters into the run and emit them (``attrs`` tag the events)."""
+        self.work.merge(work)
+        if self.tracer.enabled:
+            work.emit(self.tracer, **attrs)
+
+    def record(
+        self,
+        colors: np.ndarray,
+        *,
+        queue_size: int,
+        conflicts: int,
+        wall_seconds: float = 0.0,
+        color_timing: PhaseTiming | None = None,
+        remove_timing: PhaseTiming | None = None,
+    ) -> int:
+        """Append the next iteration's record; returns its ``colors_introduced``.
+
+        Palette growth: the high-water color count of the committed
+        ``colors`` is monotone (a removal may reset colors, never retire
+        them), so growth is how far it rose this iteration.
+        """
+        committed_max = int(colors.max()) if colors.size else -1
+        introduced = max(0, committed_max + 1 - self._palette)
+        self._palette = max(self._palette, committed_max + 1)
+        self.records.append(
+            IterationRecord(
+                index=len(self.records),
+                queue_size=int(queue_size),
+                conflicts=int(conflicts),
+                color_timing=color_timing,
+                remove_timing=remove_timing,
+                colors_introduced=introduced,
+                wall_seconds=0.0 if self.clocked else wall_seconds,
+            )
+        )
+        return introduced
+
+    def close(self, final: np.ndarray, **attrs) -> None:
+        """Keep the final colors and set the run span's closing attributes."""
+        self._final = final
+        self._cycles = attrs.get("cycles", 0.0)
+        self.span.set(
+            iterations=len(self.records), **attrs, num_colors=_num_colors(final)
+        )
+
+    def result(self, extra_metrics=None) -> ColoringResult:
+        """The run's :class:`~repro.types.ColoringResult`; raises if any vertex is uncolored.
+
+        ``extra_metrics`` (structure counters such as ``shard.*``) join the
+        run's work totals in ``work_metrics``.
+        """
+        final = self._final
+        if final.size and final.min() < 0:
+            raise ColoringError(
+                f"{self.name} finished with {int((final < 0).sum())} "
+                "uncolored vertices"
+            )
+        metrics = self.work.as_dict()
+        metrics.update(extra_metrics or {})
+        return ColoringResult(
+            colors=final,
+            num_colors=_num_colors(final),
+            iterations=self.records,
+            algorithm=self.name,
+            threads=self.threads,
+            cycles=self._cycles,
+            backend=self.backend,
+            wall_seconds=0.0 if self.clocked else time.perf_counter() - self._start,
+            work_metrics=metrics,
+        )
+
+
 def run_plan_loop(
     engine: PhaseEngine,
     adapter,
@@ -518,19 +607,8 @@ def run_plan_loop(
     """
     from repro.core.policies import get_policy
     from repro.obs.tracer import ensure_tracer
-    from repro.obs.work import WorkCounters
 
     tracer = ensure_tracer(tracer)
-    run_work = WorkCounters()
-
-    def _collect_work(phase: str, kind: str) -> None:
-        phase_work = getattr(engine, "last_work", None)
-        if phase_work is None:
-            return
-        run_work.merge(phase_work)
-        if tracer.enabled:
-            phase_work.emit(tracer, iteration=iteration, phase=phase, kind=kind)
-
     color_kernels: dict[str, tuple[Callable, Callable]] = {}
 
     def _color_kernels(label: str) -> tuple[Callable, Callable]:
@@ -575,14 +653,16 @@ def run_plan_loop(
                 f"initial_work ids must be in [0, {adapter.n_targets}), "
                 f"got [{work.min()}, {work.max()}]"
             )
-    records: list[IterationRecord] = []
     iteration = 0
-    palette = 0
-    run_start = time.perf_counter()
+    rec = RunRecorder(
+        tracer, name, backend_name, clocked=engine.clocked, threads=threads
+    )
 
-    with tracer.span(
-        "run", algorithm=name, backend=backend_name, threads=threads
-    ) as run_span:
+    def _collect_work(phase: str, kind: str) -> None:
+        if engine.last_work is not None:
+            rec.add_work(engine.last_work, iteration=iteration, phase=phase, kind=kind)
+
+    with rec:
         while work.size:
             if iteration >= max_iterations:
                 raise ColoringError(
@@ -646,23 +726,14 @@ def run_plan_loop(
                         conflicts=int(next_work.size),
                     )
 
-                # Palette growth: the high-water color count is monotone (a
-                # net-based removal may reset colors, never retire them).
-                committed_max = int(engine.values.max()) if engine.values.size else -1
-                colors_introduced = max(0, committed_max + 1 - palette)
-                palette = max(palette, committed_max + 1)
                 iter_wall = time.perf_counter() - iter_start
-
-                records.append(
-                    IterationRecord(
-                        index=iteration,
-                        queue_size=int(work.size),
-                        conflicts=int(next_work.size),
-                        color_timing=color_timing,
-                        remove_timing=remove_timing,
-                        colors_introduced=colors_introduced,
-                        wall_seconds=0.0 if engine.clocked else iter_wall,
-                    )
+                colors_introduced = rec.record(
+                    engine.values,
+                    queue_size=work.size,
+                    conflicts=next_work.size,
+                    wall_seconds=iter_wall,
+                    color_timing=color_timing,
+                    remove_timing=remove_timing,
                 )
                 if engine.clocked:
                     iter_span.set(
@@ -681,33 +752,14 @@ def run_plan_loop(
                         iteration,
                         queue_size=int(work.size),
                         conflicts=int(next_work.size),
-                        work=getattr(engine, "last_work", None),
+                        work=engine.last_work,
                         tracer=tracer,
                     )
             work = next_work
             iteration += 1
 
-        final = engine.snapshot()
-        run_span.set(
-            iterations=iteration,
-            cycles=engine.total_cycles,
-            num_colors=int(final.max()) + 1 if final.size else 0,
-        )
-    if final.size and final.min() < 0:
-        raise ColoringError(
-            f"{name} finished with {int((final < 0).sum())} uncolored vertices"
-        )
-    return ColoringResult(
-        colors=final,
-        num_colors=int(final.max()) + 1 if final.size else 0,
-        iterations=records,
-        algorithm=name,
-        threads=threads,
-        cycles=engine.total_cycles,
-        backend=backend_name,
-        wall_seconds=0.0 if engine.clocked else time.perf_counter() - run_start,
-        work_metrics=run_work.as_dict(),
-    )
+        rec.close(engine.snapshot(), cycles=engine.total_cycles)
+    return rec.result()
 
 
 @runtime_checkable
@@ -715,10 +767,8 @@ class ExecutionBackend(Protocol):
     """What a backend must provide to the driver.
 
     ``run`` executes the whole speculative loop of ``schedule`` on
-    ``adapter`` and returns a :class:`~repro.types.ColoringResult`.
-    Kernel-level backends additionally expose ``make_engine`` so other
-    harnesses (e.g. :func:`repro.dist.hybrid.hybrid_bgpc`) can run single
-    phases on the same substrate.
+    ``adapter`` and returns a :class:`~repro.types.ColoringResult` (the
+    built-in backends assemble it with a :class:`RunRecorder`).
 
     ``initial_colors``/``initial_work`` resume the loop from a partially
     valid coloring on a restricted work queue (incremental recoloring —
@@ -829,17 +879,13 @@ def require_capabilities(backend: str, needs: Iterable[str]) -> None:
         raise ColoringError(message)
 
 
-class _KernelLoopBackend:
-    """Shared ``run`` for backends that execute per-task kernels."""
+class SimBackend:
+    """Cycle-accurate simulated multicore (the paper's reproduction vehicle)."""
 
-    name = ""
-    engine_cls: type | None = None
-
-    def make_engine(
-        self, initial_colors: np.ndarray, threads: int, cost=None, tracer=None
-    ) -> PhaseEngine:
-        """A fresh :class:`PhaseEngine` over ``initial_colors``."""
-        return self.engine_cls(initial_colors, threads, cost, tracer)
+    name = "sim"
+    capabilities = Capabilities(
+        resume=True, controller=True, policies=True, sequential=True
+    )
 
     def run(
         self,
@@ -861,16 +907,9 @@ class _KernelLoopBackend:
 
         _reject_options(self.name, options)
         tracer = ensure_tracer(tracer)
-        if initial_colors is None:
-            colors = np.full(adapter.n_targets, UNCOLORED, dtype=np.int64)
-        else:
-            colors = np.array(initial_colors, dtype=np.int64, copy=True)
-            if colors.shape != (adapter.n_targets,):
-                raise ColoringError(
-                    f"initial_colors must have shape ({adapter.n_targets},), "
-                    f"got {colors.shape}"
-                )
-        engine = self.make_engine(colors, threads, cost, tracer)
+        engine = SimPhaseEngine(
+            _initial_colors(adapter, initial_colors), threads, cost, tracer
+        )
         return run_plan_loop(
             engine,
             adapter,
@@ -885,50 +924,22 @@ class _KernelLoopBackend:
         )
 
 
-class SimBackend(_KernelLoopBackend):
-    """Cycle-accurate simulated multicore (the paper's reproduction vehicle)."""
-
-    name = "sim"
-    engine_cls = SimPhaseEngine
-    capabilities = Capabilities(
-        resume=True, controller=True, policies=True, sequential=True
-    )
-
-
-class ThreadedBackend(_KernelLoopBackend):
-    """Real Python threads with genuine GIL-interleaved races.
-
-    Colors are nondeterministic across runs (always valid on return);
-    ``cycles`` is 0 and per-phase timings are ``None`` — the currency is
-    measured ``wall_seconds``, like the NumPy backend.  Useful as a sanity
-    check that the speculative template converges under real races, and as
-    the only backend whose conflicts are not a model.
-    """
-
-    name = "threaded"
-    engine_cls = ThreadedPhaseEngine
-    capabilities = Capabilities(resume=True, controller=True, policies=True)
-
-
 class ProcessBackend:
     """Worker-process pool with shared-memory state: true parallel wall-clock.
 
     The paper's headline numbers are *multicore speedups* (Tables 3–5);
-    ``threaded`` cannot reproduce them because the GIL interleaves instead
-    of overlapping.  This backend runs the same speculative loop across
-    ``threads`` OS processes sharing one color segment, so kernel execution
-    genuinely overlaps: ``wall_seconds`` is a real parallel measurement,
-    conflicts are real cross-process races, and results are always valid.
+    Python threads cannot reproduce them because the GIL interleaves
+    instead of overlapping.  This backend runs the same speculative loop
+    across ``threads`` OS processes sharing one color segment, so kernel
+    execution genuinely overlaps: ``wall_seconds`` is a real parallel
+    measurement, conflicts are real cross-process races, and results are
+    always valid.
 
     The adapter must expose ``process_spec()`` (both problem adapters do);
     anything else raises :class:`ColoringError`.  Shared-memory lifecycle
     is owned here: segments are created before the pool starts and closed +
     unlinked in a ``finally``, including when a worker crashes mid-phase
     (``REPRO_PROCESS_FAULT=kill[:N]`` injects exactly that for tests/CI).
-
-    Unlike ``sim``/``threaded`` there is deliberately no ``make_engine``:
-    per-batch engines (as the hybrid harness builds) would pay pool + segment
-    setup per batch, so the hybrid path rejects this backend.
     """
 
     name = "process"
@@ -958,13 +969,6 @@ class ProcessBackend:
             raise ColoringError(
                 "backend='process' needs an adapter with process_spec() "
                 f"(shared-memory layout); {type(adapter).__name__} has none"
-            )
-        if initial_colors is not None and np.asarray(initial_colors).shape != (
-            adapter.n_targets,
-        ):
-            raise ColoringError(
-                f"initial_colors must have shape ({adapter.n_targets},), "
-                f"got {np.asarray(initial_colors).shape}"
             )
         tracer = ensure_tracer(tracer)
         try:
@@ -1023,39 +1027,21 @@ class NumpyBackend:
     ) -> ColoringResult:
         from repro.core.fastpath.engine import run_fastpath
         from repro.obs.tracer import ensure_tracer
-        from repro.obs.work import WorkCounters
 
         _reject_options(self.name, options)
         tracer = ensure_tracer(tracer)
         groups = adapter.fastpath_groups()
-        run_work = WorkCounters()
         extras: dict[str, int] = {}
-        t0 = time.perf_counter()
-        with tracer.span(
-            "run", algorithm=name, backend="numpy", mode=fastpath_mode
-        ) as run_span:
+        with RunRecorder(tracer, name, self.name, mode=fastpath_mode) as rec:
             colors, records = run_fastpath(
-                groups, mode=fastpath_mode, tracer=tracer, work=run_work,
+                groups, mode=fastpath_mode, tracer=tracer, work=rec.work,
                 extras=extras,
             )
-            run_span.set(
-                num_colors=int(colors.max()) + 1 if colors.size else 0,
-                iterations=len(records),
-            )
-        wall = time.perf_counter() - t0
-        metrics = run_work.as_dict()
-        metrics.update(extras)  # FASTPATH_METRICS, speculative mode only
-        return ColoringResult(
-            colors=colors,
-            num_colors=int(colors.max()) + 1 if colors.size else 0,
-            iterations=records,
-            algorithm=name,
-            threads=1,
-            cycles=0.0,
-            backend="numpy",
-            wall_seconds=wall,
-            work_metrics=metrics,
-        )
+            # The fast path's rounds build their own records.
+            rec.records.extend(records)
+            rec.close(colors)
+        # extras: FASTPATH_METRICS, speculative mode only
+        return rec.result(extras)
 
 
 # -- the registry -------------------------------------------------------------
@@ -1100,13 +1086,12 @@ def backend_names() -> tuple[str, ...]:
 
 register_backend(SimBackend())
 register_backend(NumpyBackend())
-register_backend(ThreadedBackend())
 register_backend(ProcessBackend())
 
 
 def _register_sharded() -> None:
     # Deferred to the bottom: repro.dist imports back into this module
-    # (hybrid_bgpc uses get_backend), so the registry must exist first.
+    # (hybrid_bgpc uses SimPhaseEngine), so it must be defined first.
     from repro.dist.sharded import ShardedBackend
 
     register_backend(ShardedBackend())

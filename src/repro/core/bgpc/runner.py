@@ -146,7 +146,7 @@ def color_bgpc(
     backend:
         Any registered execution backend (see ``docs/backends.md``):
         ``"sim"`` (default) for the cycle-accurate simulated machine,
-        ``"threaded"`` for real Python threads with genuine races, or
+        ``"process"`` for a worker-process pool with genuine races, or
         ``"numpy"`` for the vectorized wall-clock fast path
         (:mod:`repro.core.fastpath`).
     fastpath_mode:

@@ -26,13 +26,18 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.core.backends import _reject_options, get_backend, require_capabilities
+from repro.core.backends import (
+    RunRecorder,
+    _reject_options,
+    get_backend,
+    require_capabilities,
+)
 from repro.core.plan import INF_ITERS, ScheduleSpec, resolve_schedule
 from repro.core.policies import FirstFit, get_policy
 from repro.errors import ColoringError
 from repro.machine.machine import Machine
 from repro.machine.scheduler import Schedule
-from repro.types import ColoringResult, IterationRecord, PhaseKind, UNCOLORED
+from repro.types import ColoringResult, PhaseKind, UNCOLORED
 
 __all__ = [
     "SEQUENTIAL",
@@ -111,8 +116,8 @@ def run_speculative(
 
     ``backend`` names any registered :class:`~repro.core.backends.ExecutionBackend`
     (see ``docs/backends.md``): ``"sim"`` (default) runs the kernels
-    task-by-task on the cycle-accurate :class:`Machine`; ``"threaded"``
-    runs the same kernels on real Python threads (wall-clock,
+    task-by-task on the cycle-accurate :class:`Machine`; ``"process"``
+    runs the same kernels on a worker-process pool (wall-clock,
     nondeterministic but always valid); ``"numpy"`` runs the speculative
     template as whole-array passes in :mod:`repro.core.fastpath`, ignoring
     ``threads``, ``cost``, ``max_iterations`` and the kernel schedule (it
@@ -205,10 +210,8 @@ def run_sequential(
     colors = np.full(adapter.n_targets, UNCOLORED, dtype=np.int64)
     memory = machine.make_memory(colors)
     kernel = adapter.make_vertex_color_kernel(policy if policy is not None else FirstFit())
-    run_work = WorkCounters()
-    with tracer.span(
-        "run", algorithm=SEQUENTIAL, backend="sim", threads=1
-    ) as run_span:
+    phase_work = WorkCounters()
+    with RunRecorder(tracer, SEQUENTIAL, "sim", clocked=True, threads=1) as rec:
         with tracer.span(
             "phase", iteration=0, phase=PhaseKind.COLOR, kind="vertex"
         ) as phase_span:
@@ -218,31 +221,11 @@ def run_sequential(
                 memory,
                 schedule=Schedule.static(),
                 phase_kind=PhaseKind.COLOR,
-                work=run_work,
+                work=phase_work,
             )
             phase_span.set(items=timing.tasks, cycles=timing.cycles)
-        if tracer.enabled:
-            run_work.emit(tracer, iteration=0, phase=PhaseKind.COLOR, kind="vertex")
+        rec.add_work(phase_work, iteration=0, phase=PhaseKind.COLOR, kind="vertex")
         final = memory.snapshot()
-        run_span.set(
-            iterations=1,
-            cycles=machine.trace.total_cycles,
-            num_colors=int(final.max()) + 1 if final.size else 0,
-        )
-    record = IterationRecord(
-        index=0,
-        queue_size=adapter.n_targets,
-        conflicts=0,
-        color_timing=timing,
-        remove_timing=None,
-        colors_introduced=int(final.max()) + 1 if final.size else 0,
-    )
-    return ColoringResult(
-        colors=final,
-        num_colors=int(final.max()) + 1 if final.size else 0,
-        iterations=[record],
-        algorithm=SEQUENTIAL,
-        threads=1,
-        cycles=machine.trace.total_cycles,
-        work_metrics=run_work.as_dict(),
-    )
+        rec.record(final, queue_size=adapter.n_targets, conflicts=0, color_timing=timing)
+        rec.close(final, cycles=machine.trace.total_cycles)
+    return rec.result()

@@ -25,8 +25,8 @@ Work accounting rides on the standard counters: the returned result's
 full recolor of the mutated graph quantifies the savings (the
 ``incremental`` bench experiment and the regress suite pin exactly that).
 
-Determinism: under the deterministic backends (``sim``; ``threaded`` /
-``process`` at one worker) the incremental colors are a pure function of
+Determinism: under the deterministic backends (``sim``; ``process`` at
+one worker) the incremental colors are a pure function of
 (base graph, base colors, delta, schedule, threads) — golden-pinned in
 ``tests/test_incremental.py``.
 

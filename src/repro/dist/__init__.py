@@ -7,7 +7,7 @@ models both flavours on top of the repository's primitives:
 
 * :func:`distributed_bgpc` — partitioned speculative coloring in batched
   bulk-synchronous supersteps, costed by :class:`ClusterModel`;
-* :func:`hybrid_bgpc` — ranks of kernel-level multicore engines (intra-rank
+* :func:`hybrid_bgpc` — ranks of simulated multicore engines (intra-rank
   races plus cross-rank speculation, one resolver);
 * :func:`partition_contiguous` / :func:`partition_random` /
   :func:`partition_bfs` / :func:`partition_greedy` — the owner arrays that

@@ -1,25 +1,21 @@
-"""Hybrid MPI+multicore BGPC: ranks of kernel-level engines.
+"""Hybrid MPI+multicore BGPC: ranks of simulated multicore engines.
 
 :func:`hybrid_bgpc` layers the distributed superstep framework of
-:mod:`repro.dist.superstep` on top of the execution-backend registry: each
-rank colors its share of every batch on its *own* multicore engine
-(obtained from the ``make_engine`` hook of a registered
-:class:`~repro.core.backends.ExecutionBackend`), so two conflict sources
-coexist —
-intra-rank thread races inside an engine and cross-rank speculation between
-engines — and one resolver absorbs both, smaller vertex id winning.
-
-Only kernel-level backends (``sim``, ``threaded``) qualify: whole-array
-backends like ``numpy`` have no per-phase engine, and the ``process``
-backend deliberately refuses per-batch engines (pool + shared-segment setup
-per batch); both are rejected with a :class:`~repro.errors.ColoringError`.
+:mod:`repro.dist.superstep` on top of the simulator: each rank colors its
+share of every batch on its *own*
+:class:`~repro.core.backends.SimPhaseEngine`, so two conflict sources
+coexist — intra-rank thread races inside an engine and cross-rank
+speculation between engines — and one resolver absorbs both, smaller
+vertex id winning.  Engines are built per batch, which is why the harness
+stays on the simulator: a ``process`` engine would pay pool and
+shared-segment setup every batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backends import get_backend
+from repro.core.backends import SimPhaseEngine
 from repro.core.bgpc.vertex import make_vertex_color_kernel
 from repro.core.plan import PhasePlan
 from repro.core.policies import FirstFit
@@ -45,7 +41,6 @@ def hybrid_bgpc(
     threads_per_rank: int = 4,
     batch: int = 100,
     partition: np.ndarray | None = None,
-    backend: str = "sim",
     cost: CostModel | None = None,
     cluster: ClusterModel | None = None,
 ) -> DistributedResult:
@@ -54,8 +49,8 @@ def hybrid_bgpc(
     Every batch is a superstep: each rank runs one coloring phase over its
     share on a fresh engine seeded with the committed snapshot, the picks
     are merged, and conflicting vertices (intra-rank races *and* cross-rank
-    speculation) are reset and re-queued.  ``backend`` must be kernel-level
-    (``"sim"`` for deterministic cycles, ``"threaded"`` for real races).
+    speculation) are reset and re-queued.  Deterministic: races are the
+    simulator's.
     """
     if threads_per_rank < 1:
         raise ColoringError(
@@ -63,13 +58,6 @@ def hybrid_bgpc(
         )
     if batch < 1:
         raise ColoringError(f"batch must be >= 1, got {batch}")
-    backend_obj = get_backend(backend)
-    if not hasattr(backend_obj, "make_engine"):
-        raise ColoringError(
-            f"hybrid_bgpc needs a kernel-level backend (one exposing "
-            f"make_engine); {backend!r} is not kernel-level — use 'sim' or "
-            "'threaded'"
-        )
     cluster = cluster if cluster is not None else ClusterModel(ranks)
     ranks = cluster.ranks
     cost = cost if cost is not None else CostModel()
@@ -95,9 +83,7 @@ def hybrid_bgpc(
             mine = batch_vs[owners == r]
             if mine.size == 0:
                 continue
-            engine = backend_obj.make_engine(
-                colors.copy(), threads_per_rank, cost
-            )
+            engine = SimPhaseEngine(colors.copy(), threads_per_rank, cost)
             engine.run_phase(plan, mine.size, kernel, task_ids=mine)
             merged[mine] = engine.values[mine]
             compute[r] = engine.total_cycles

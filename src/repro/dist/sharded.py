@@ -38,7 +38,7 @@ one shard every vertex is interior and the run is byte-identical to
 
 Determinism contract: partitioners are deterministic per
 ``(graph, ranks, seed)``; interior shards touch disjoint color entries;
-supersteps commit only at barriers.  Unlike ``threaded``/``process``,
+supersteps commit only at barriers.  Unlike ``process`` at >1 worker,
 results are therefore deterministic at *any* shard count, which is why
 multi-shard cases can sit in the pinned regress suite.
 """
@@ -50,9 +50,9 @@ import time
 
 import numpy as np
 
-from repro.core.backends import Capabilities
+from repro.core.backends import Capabilities, RunRecorder
 from repro.errors import ColoringError
-from repro.types import ColoringResult, IterationRecord, UNCOLORED
+from repro.types import ColoringResult, UNCOLORED
 
 __all__ = ["ShardedBackend"]
 
@@ -144,23 +144,17 @@ class ShardedBackend:
             for r in range(threads)
         ]
 
-        run_work = WorkCounters()
-        records: list[IterationRecord] = []
         comm_words = comm_messages = conflicts_total = supersteps = 0
-        palette = 0
-        run_start = time.perf_counter()
+        # Constructed before the pool so the run's wall time includes its setup.
+        rec = RunRecorder(
+            tracer, name, self.name, threads=threads, partitioner=partitioner
+        )
 
         engine = ProcessPhaseEngine(
             adapter, threads, cost=cost, tracer=tracer, policy=policy, fault=fault
         )
         try:
-            with tracer.span(
-                "run",
-                algorithm=name,
-                backend=self.name,
-                threads=threads,
-                partitioner=partitioner,
-            ) as run_span:
+            with rec:
                 # ---- interior phase: one slice per shard, no cross-talk --
                 interior_work = WorkCounters()
                 with tracer.span(
@@ -186,22 +180,12 @@ class ShardedBackend:
                             "reclaimed by the parent"
                         ) from exc
                     phase_span.set(items=lo)
-                run_work.merge(interior_work)
-                if tracer.enabled:
-                    interior_work.emit(
-                        tracer, iteration=0, phase="color", kind="interior"
-                    )
-                palette = int(engine.colors.max()) + 1 if n else 0
-                records.append(
-                    IterationRecord(
-                        index=0,
-                        queue_size=lo,
-                        conflicts=0,
-                        color_timing=None,
-                        remove_timing=None,
-                        colors_introduced=palette,
-                        wall_seconds=time.perf_counter() - iter_start,
-                    )
+                rec.add_work(interior_work, iteration=0, phase="color", kind="interior")
+                rec.record(
+                    engine.colors,
+                    queue_size=lo,
+                    conflicts=0,
+                    wall_seconds=time.perf_counter() - iter_start,
                 )
 
                 # ---- boundary supersteps ---------------------------------
@@ -258,54 +242,34 @@ class ShardedBackend:
                     step_work.add("color_writes", len(losers))
                     step_work.add("queue_pushes", len(losers))
                     conflicts_total += len(losers)
-                    run_work.merge(step_work)
+                    rec.add_work(
+                        step_work,
+                        iteration=supersteps + 1,
+                        phase="superstep",
+                        kind="boundary",
+                    )
                     if tracer.enabled:
-                        step_work.emit(
-                            tracer,
-                            iteration=supersteps + 1,
-                            phase="superstep",
-                            kind="boundary",
-                        )
                         tracer.counter(
                             "shard.exchange_words",
                             2 * writes,
                             superstep=supersteps,
                         )
-                    committed_max = (
-                        int(engine.colors.max()) if engine.colors.size else -1
-                    )
-                    introduced = max(0, committed_max + 1 - palette)
-                    palette = max(palette, committed_max + 1)
-                    records.append(
-                        IterationRecord(
-                            index=supersteps + 1,
-                            queue_size=int(batch_vs.size),
-                            conflicts=len(losers),
-                            color_timing=None,
-                            remove_timing=None,
-                            colors_introduced=introduced,
-                            wall_seconds=time.perf_counter() - iter_start,
-                        )
+                    rec.record(
+                        engine.colors,
+                        queue_size=batch_vs.size,
+                        conflicts=len(losers),
+                        wall_seconds=time.perf_counter() - iter_start,
                     )
                     supersteps += 1
                     pending = np.concatenate([losers, rest])
 
-                final = engine.snapshot()
-                run_span.set(
-                    iterations=len(records),
-                    supersteps=supersteps,
-                    comm_words=comm_words,
-                    num_colors=int(final.max()) + 1 if final.size else 0,
+                rec.close(
+                    engine.snapshot(), supersteps=supersteps, comm_words=comm_words
                 )
         finally:
             engine.close()
 
-        if final.size and final.min() < 0:
-            raise ColoringError(
-                f"{name} finished with {int((final < 0).sum())} uncolored vertices"
-            )
-        work_metrics = run_work.as_dict()
-        work_metrics.update(
+        return rec.result(
             {
                 "shard.interior": n - boundary_total,
                 "shard.boundary": boundary_total,
@@ -314,15 +278,4 @@ class ShardedBackend:
                 "shard.comm_words": comm_words,
                 "shard.comm_messages": comm_messages,
             }
-        )
-        return ColoringResult(
-            colors=final,
-            num_colors=int(final.max()) + 1 if final.size else 0,
-            iterations=records,
-            algorithm=name,
-            threads=threads,
-            cycles=0.0,
-            backend=self.name,
-            wall_seconds=time.perf_counter() - run_start,
-            work_metrics=work_metrics,
         )

@@ -10,9 +10,9 @@ the bench harness's ``profile`` experiment both render these rows.
 The per-iteration totals are guaranteed to sum to the end-to-end figure of
 the run: simulated ``cycles`` for ``backend="sim"`` (phase timings include
 every barrier and auxiliary sweep), measured ``wall_seconds`` for every
-wall-clock backend — ``numpy`` and ``threaded`` — with a trailing
-*setup/overhead* row carrying everything outside the rounds (layout
-build, kernel construction, thread pool spin-up).
+wall-clock backend — ``numpy``, ``process`` and ``sharded`` — with a
+trailing *setup/overhead* row carrying everything outside the rounds
+(layout build, kernel construction, worker pool spin-up).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def iteration_breakdown(result: ColoringResult) -> tuple[list[str], list[tuple]]
     """``(header, rows)`` of the per-iteration breakdown of ``result``.
 
     Simulator runs (``backend="sim"``) report simulated cycles per phase;
-    wall-clock backends (``numpy``, ``threaded``) report measured wall
+    wall-clock backends (``numpy``, ``process``) report measured wall
     milliseconds per round.  The final ``total`` row sums exactly to
     ``result.cycles`` / ``result.wall_seconds`` respectively; wall-clock
     runs additionally get a ``setup`` row for the time spent outside the

@@ -23,16 +23,16 @@ metric              what it counts
 Kernels accumulate ``probes``/``scans``/``conflict_checks`` on their
 :class:`~repro.machine.engine.TaskContext`; the per-task totals are folded
 into one :class:`WorkCounters` per phase by whichever engine executed it
-(simulated, threaded, process pool, or the vectorized fast path).  The
+(simulated, process pool, or the vectorized fast path).  The
 backend loop then emits each metric through the tracer as a ``work.<metric>``
 counter (riding the normal :class:`~repro.obs.tracer.TraceEvent` path) and
 attaches the run totals to the ``work_metrics`` dict of
 :class:`~repro.types.ColoringResult`.
 
-Determinism caveat: counters from the ``threaded`` and ``process`` backends
-are only deterministic with a single worker — real races change how many
-conflicts (and hence repair iterations) occur.  The regress suite pins those
-backends to one worker for exactly this reason.
+Determinism caveat: counters from the ``process`` backend are only
+deterministic with a single worker — real races change how many conflicts
+(and hence repair iterations) occur.  The regress suite pins that backend
+to one worker for exactly this reason.
 """
 
 from __future__ import annotations

@@ -153,7 +153,7 @@ class TestControllerDecisions:
 
 
 class TestAdaptiveRuns:
-    @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
+    @pytest.mark.parametrize("backend", ["sim", "process"])
     def test_valid_on_kernel_backends(self, bg, backend):
         threads = 4 if backend != "process" else 1
         result = color_bgpc(bg, "adaptive", threads=threads, backend=backend)

@@ -2,11 +2,10 @@
 
 Every named schedule must produce a *valid* coloring on every registered
 backend; ``numpy``-exact mode must match the sequential reference (and
-therefore the one-thread simulator) byte-for-byte; ``threaded`` runs on
-real Python threads and must converge despite genuine races; ``process``
-runs on a shared-memory worker pool and must additionally leave zero
-stale ``/dev/shm`` segments on every exit path, including a worker killed
-mid-iteration.
+therefore the one-thread simulator) byte-for-byte; ``process`` runs on a
+shared-memory worker pool, must converge despite genuine races, and must
+leave zero stale ``/dev/shm`` segments on every exit path, including a
+worker killed mid-iteration.
 """
 
 import glob
@@ -18,7 +17,6 @@ from repro.core.backends import (
     NumpyBackend,
     ProcessBackend,
     SimBackend,
-    ThreadedBackend,
     backend_names,
     get_backend,
     register_backend,
@@ -54,18 +52,17 @@ def sym_graph(rng):
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert set(backend_names()) >= {"sim", "numpy", "threaded", "process"}
+        assert set(backend_names()) >= {"sim", "numpy", "process"}
 
     def test_get_backend_returns_singletons(self):
         assert isinstance(get_backend("sim"), SimBackend)
         assert isinstance(get_backend("numpy"), NumpyBackend)
-        assert isinstance(get_backend("threaded"), ThreadedBackend)
         assert isinstance(get_backend("process"), ProcessBackend)
 
     def test_unknown_backend_lists_names(self):
         with pytest.raises(ColoringError, match="unknown backend"):
             get_backend("gpu")
-        with pytest.raises(ColoringError, match="threaded"):
+        with pytest.raises(ColoringError, match="process"):
             get_backend("gpu")
 
     def test_duplicate_registration_rejected(self):
@@ -169,49 +166,6 @@ class TestSwitchedScheduleParity:
         validate_bgpc(bg, result.colors)
 
 
-class TestThreadedBackend:
-    def test_converges_and_reports_wall(self, bg):
-        result = color_bgpc(bg, algorithm="V-V-64D", threads=4, backend="threaded")
-        validate_bgpc(bg, result.colors)
-        assert result.backend == "threaded"
-        assert result.cycles == 0.0
-        assert result.wall_seconds > 0.0
-        assert all(rec.color_timing is None for rec in result.iterations)
-        assert all(rec.wall_seconds > 0.0 for rec in result.iterations)
-
-    def test_single_thread_matches_sequential(self, bg):
-        # One real thread has no races: plain greedy in work order.
-        result = color_bgpc(bg, algorithm="V-V", threads=1, backend="threaded")
-        seq = sequential_bgpc(bg)
-        assert result.colors.tobytes() == seq.colors.tobytes()
-        assert result.num_iterations == 1
-
-    def test_profile_table_uses_wall_path(self, bg):
-        from repro.obs import profile_table
-
-        result = color_bgpc(bg, algorithm="V-V-64D", threads=4, backend="threaded")
-        table = profile_table(result)
-        assert "backend threaded" in table
-        assert "wall ms" in table
-        assert "setup" in table
-
-    def test_schedule_with_net_phases(self, bg):
-        result = color_bgpc(bg, algorithm="N1-N2", threads=4, backend="threaded")
-        validate_bgpc(bg, result.colors)
-
-    def test_hybrid_dist_accepts_threaded(self, bg):
-        from repro.dist.hybrid import hybrid_bgpc
-
-        result = hybrid_bgpc(bg, ranks=2, threads_per_rank=2, backend="threaded")
-        validate_bgpc(bg, result.colors)
-
-    def test_hybrid_dist_rejects_whole_array_backend(self, bg):
-        from repro.dist.hybrid import hybrid_bgpc
-
-        with pytest.raises(ColoringError, match="kernel-level"):
-            hybrid_bgpc(bg, ranks=2, threads_per_rank=2, backend="numpy")
-
-
 def _shm_segments() -> set:
     """Current ``repro_shm_`` segments in ``/dev/shm`` (empty off Linux)."""
     return set(glob.glob("/dev/shm/repro_shm_*"))
@@ -241,7 +195,7 @@ class TestProcessBackend:
 
     def test_single_worker_v_v_matches_sequential(self, bg):
         # One worker drains the chunk queue in order with no races: plain
-        # greedy in work order, exactly like threaded at one thread.
+        # greedy in work order.
         result = color_bgpc(bg, algorithm="V-V", threads=1, backend="process")
         seq = sequential_bgpc(bg)
         assert result.colors.tobytes() == seq.colors.tobytes()
@@ -298,11 +252,14 @@ class TestProcessBackend:
         with pytest.raises(ColoringError, match="threads >= 1"):
             color_bgpc(bg, algorithm="V-V-64D", threads=0, backend="process")
 
-    def test_hybrid_dist_rejects_process(self, bg):
-        from repro.dist.hybrid import hybrid_bgpc
+    def test_profile_table_uses_wall_path(self, bg):
+        from repro.obs import profile_table
 
-        with pytest.raises(ColoringError, match="kernel-level"):
-            hybrid_bgpc(bg, ranks=2, threads_per_rank=2, backend="process")
+        result = color_bgpc(bg, algorithm="V-V-64D", threads=2, backend="process")
+        table = profile_table(result)
+        assert "backend process" in table
+        assert "wall ms" in table
+        assert "setup" in table
 
 
 class TestTracedParity:
@@ -318,12 +275,12 @@ class TestTracedParity:
         assert names1 == [e.name for e in t2.events]
         assert "run" in names1 and "iteration" in names1 and "phase" in names1
 
-    def test_threaded_iteration_spans_report_wall(self, bg):
+    def test_process_iteration_spans_report_wall(self, bg):
         from repro.obs import RecordingTracer
 
         tracer = RecordingTracer()
         color_bgpc(
-            bg, algorithm="V-V-64D", threads=4, backend="threaded", tracer=tracer
+            bg, algorithm="V-V-64D", threads=2, backend="process", tracer=tracer
         )
         iters = [e for e in tracer.events if e.name == "iteration"]
         assert iters

@@ -7,6 +7,16 @@ from repro.cli import main
 from repro.graph import bipartite_from_dense, write_matrix_market
 
 
+#: The summary's ``problem :`` clause per backend at ``--threads 2``.
+PROBLEM_CLAUSES = {
+    "sim": "2 simulated threads",
+    "numpy": "numpy backend (exact mode)",
+    "compiled": "compiled backend (numba, exact mode)",
+    "process": "2 worker processes (process backend, shared memory)",
+    "sharded": "2 shards (sharded backend, bfs partition)",
+}
+
+
 @pytest.fixture
 def mtx_file(tmp_path, rng):
     pattern = (rng.random((20, 30)) < 0.15).astype(int)
@@ -99,16 +109,19 @@ class TestCli:
         assert main([str(mtx_file), "--threads", "4"]) == 0
         assert "4 simulated threads" in capsys.readouterr().out
 
-    def test_threaded_backend(self, mtx_file, capsys):
-        # End-to-end on real threads: validated coloring, wall-clock line.
-        code = main(
-            [str(mtx_file), "--backend", "threaded", "--threads", "4",
-             "--algorithm", "V-V-64D"]
+    @pytest.mark.parametrize("backend", sorted(PROBLEM_CLAUSES))
+    def test_problem_line_per_backend(self, mtx_file, capsys, monkeypatch, backend):
+        from repro.core.compiled import PURE_ENV
+
+        monkeypatch.setenv(PURE_ENV, "1")  # compiled runs without numba
+        args = [str(mtx_file), "--backend", backend, "--threads", "2",
+                "--algorithm", "V-V-64D"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            f"problem  : bgpc, algorithm V-V-64D, {PROBLEM_CLAUSES[backend]}, "
+            "ordering natural, policy U"
         )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "4 real threads (threaded backend)" in out
-        assert "wall" in out
 
     def test_process_backend(self, mtx_file, capsys):
         # End-to-end on the worker pool: validated coloring, wall-clock

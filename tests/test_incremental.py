@@ -140,7 +140,7 @@ class TestDeltaFrontier:
 
 
 class TestRecolorIncremental:
-    @pytest.mark.parametrize("backend", ["sim", "threaded", "process"])
+    @pytest.mark.parametrize("backend", ["sim", "process"])
     def test_valid_on_kernel_backends(self, golden_graph, backend):
         bg = golden_graph
         base = color_bgpc(bg, algorithm="V-V", threads=4)

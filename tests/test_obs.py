@@ -351,10 +351,10 @@ class TestWorkMetrics:
         assert result.work_metrics["scans"] > 0
         assert tracer.total("work.scans") == result.work_metrics["scans"]
 
-    def test_threaded_and_process_single_worker_match_sim(self, bg):
-        """One-worker threaded/process runs follow the same schedule as the
-        simulator's task order, so their work totals must agree with a
+    def test_process_single_worker_matches_sim(self, bg):
+        """A one-worker process run follows the same schedule as the
+        simulator's task order, so its work totals must agree with a
         single-thread sim run."""
         sim = color_bgpc(bg, algorithm="N1-N2", threads=1).work_metrics
-        thr = color_bgpc(bg, algorithm="N1-N2", threads=1, backend="threaded").work_metrics
-        assert thr == sim
+        proc = color_bgpc(bg, algorithm="N1-N2", threads=1, backend="process").work_metrics
+        assert proc == sim

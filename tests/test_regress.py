@@ -33,8 +33,8 @@ FAST_CASES = [
         backend="numpy", threads=1, fastpath_mode="speculative",
     ),
     BenchCase(
-        "t/threaded", "bgpc", "bip-small", "N1-N2",
-        backend="threaded", threads=1,
+        "t/process", "bgpc", "bip-small", "N1-N2",
+        backend="process", threads=1,
     ),
 ]
 
@@ -95,7 +95,7 @@ class TestCompare:
         flagged = {(d.case, d.metric) for d in report.failures}
         # numpy's fastpath keeps probes at 0 (0 * 2 == 0): no false alarm.
         assert ("t/sim", "probes") in flagged
-        assert ("t/threaded", "probes") in flagged
+        assert ("t/process", "probes") in flagged
         assert ("t/numpy", "probes") not in flagged
         assert "FAIL" in report.render()
         assert "+100.0%" in report.render()
@@ -125,10 +125,10 @@ class TestCompare:
 
     def test_missing_case_fails_new_case_passes(self, baseline):
         current = json.loads(dumps(baseline))
-        del current["cases"]["t/threaded"]
+        del current["cases"]["t/process"]
         current["cases"]["t/extra"] = {"metrics": {"tasks": 1}}
         report = compare(baseline, current)
-        assert report.missing_cases == ["t/threaded"]
+        assert report.missing_cases == ["t/process"]
         assert report.new_cases == ["t/extra"]
         assert not report.ok
 
@@ -152,13 +152,13 @@ class TestSuite:
         ids = [c.id for c in suite]
         assert len(ids) == len(set(ids))
         assert {c.backend for c in suite} == {
-            "sim", "numpy", "threaded", "process", "sharded"
+            "sim", "numpy", "process", "sharded"
         }
         # Real-parallel backends must be pinned to one worker (determinism).
         # Sharded is exempt: supersteps commit at barriers, so it is
         # deterministic at any shard count (see docs/sharding.md).
         for case in suite:
-            if case.backend in ("threaded", "process"):
+            if case.backend == "process":
                 assert case.threads == 1, case.id
 
     def test_select_cases_glob(self):

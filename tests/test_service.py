@@ -158,7 +158,7 @@ class TestRouter:
 
     def test_explicit_backend_wins(self, bg):
         router = SizeRouter(edge_threshold=1)
-        assert router.route(bg, backend="threaded") == "threaded"
+        assert router.route(bg, backend="process") == "process"
 
     def test_unknown_backend_rejected(self, bg):
         with pytest.raises(ServiceError, match="unknown backend"):

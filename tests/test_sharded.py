@@ -142,7 +142,7 @@ class TestValidityAndDeterminism:
         validate_bgpc(instance, result.colors)
 
     def test_deterministic_at_multiple_shards(self, instance):
-        # Unlike threaded/process, sharded commits only at barriers — the
+        # Unlike process, sharded commits only at barriers — the
         # whole run is reproducible at any shard count.
         first = color_bgpc(instance, "V-V", threads=4, backend="sharded")
         for _ in range(2):
@@ -159,6 +159,38 @@ class TestValidityAndDeterminism:
             "shard.supersteps"
         ]
         assert result.iterations[0].conflicts == 0
+
+
+class TestTraceContract:
+    """The spans and records the ``parallel`` benchmark's per-layer metrics
+    (``sharded.interior_ms``/``boundary_ms``/``supersteps``) are read from."""
+
+    def test_run_span_interior_phase_and_palette_records(self, instance):
+        from repro.obs import RecordingTracer
+
+        tracer = RecordingTracer()
+        result = color_bgpc(
+            instance, "V-V", threads=2, backend="sharded", tracer=tracer
+        )
+        wm = result.work_metrics
+        assert wm["shard.supersteps"] > 0 and wm["shard.comm_words"] > 0
+        (run,) = tracer.spans("run")
+        assert run.attrs["backend"] == "sharded"
+        assert run.attrs["supersteps"] == wm["shard.supersteps"]
+        assert run.attrs["comm_words"] == wm["shard.comm_words"]
+        assert run.attrs["iterations"] == result.num_iterations
+        assert run.attrs["num_colors"] == result.num_colors
+        (interior,) = [
+            e for e in tracer.spans("phase") if e.attrs.get("kind") == "interior"
+        ]
+        assert interior.attrs["items"] == wm["shard.interior"] > 0
+        assert 0 < interior.value <= run.value
+        # Record 0 is the interior phase: it opens the palette.
+        assert result.iterations[0].colors_introduced > 0
+        assert (
+            sum(rec.colors_introduced for rec in result.iterations)
+            == result.num_colors
+        )
 
 
 @st.composite
@@ -308,7 +340,7 @@ class TestRejections:
         with pytest.raises(ValueError, match="contiguous"):
             get_partitioner("nope")
 
-    @pytest.mark.parametrize("backend", ["sim", "threaded", "numpy"])
+    @pytest.mark.parametrize("backend", ["sim", "numpy"])
     def test_other_backends_reject_sharded_options(self, instance, backend):
         # Free-form backend options must fail loudly where unsupported,
         # never be silently ignored.
