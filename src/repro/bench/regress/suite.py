@@ -140,8 +140,10 @@ def default_suite() -> list[BenchCase]:
         BenchCase("bgpc/V-V-64D/sim16", "bgpc", "bip-small", "V-V-64D"),
         BenchCase("bgpc/N1-N2/sim16", "bgpc", "bip-small", "N1-N2"),
         BenchCase("bgpc/N2-N2-B1/sim16", "bgpc", "bip-small", "N2-N2-B1"),
+        BenchCase("bgpc/N2-N2-B2/sim16", "bgpc", "bip-small", "N2-N2-B2"),
         BenchCase("d2gc/V-V/sim16", "d2gc", "uni-small", "V-V"),
         BenchCase("d2gc/N1-N2/sim16", "d2gc", "uni-small", "N1-N2"),
+        BenchCase("d2gc/N2-N2-B1/sim16", "d2gc", "uni-small", "N2-N2-B1"),
         # Per-iteration schedule switching: a static "@" segment plan and
         # the adaptive conflict-rate controller.  Both are deterministic
         # on sim (controller decisions are pure functions of the pinned

@@ -15,6 +15,12 @@ Three coloring kernels are provided:
 
 Plus :func:`make_net_removal_kernel` — Alg. 7, which keeps the first
 occurrence of each color in the member list and resets the rest.
+
+Algs. 7/8 are written once, over any constraint group
+(:func:`make_group_color_kernel`, :func:`make_group_removal_kernel`); the
+D2GC kernels of :mod:`repro.core.d2gc.net` reuse them on closed
+neighbourhoods.  Each task costs a few numpy calls over its group, not one
+Python step per member.
 """
 
 from __future__ import annotations
@@ -28,18 +34,102 @@ from repro.machine.cost import CostModel
 from repro.types import UNCOLORED
 
 __all__ = [
+    "make_group_color_kernel",
+    "make_group_removal_kernel",
     "make_net_color_kernel",
     "make_net_color_kernel_v1",
     "make_net_removal_kernel",
 ]
 
 
-def make_net_color_kernel(bg: BipartiteGraph, cost: CostModel, policy=None):
-    """BGPC-COLORWORKQUEUE-NET (Alg. 8).
+def repeats(vals: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``vals`` equal to an earlier entry.
+
+    One stable argsort: within each run of equal values the first position
+    is ``False`` and every later one ``True``.
+    """
+    order = vals.argsort(kind="stable")
+    ordered = vals[order]
+    mask = np.zeros(vals.size, dtype=bool)
+    mask[order[1:]] = ordered[1:] == ordered[:-1]
+    return mask
+
+
+def make_group_color_kernel(group_of, capacity: int, cost: CostModel,
+                            policy, label: str):
+    """Alg. 8 / Alg. 9 over the constraint group ``group_of(task)``.
 
     Pass 1 marks the colors already present (first occurrence wins; colored
     duplicates join the local work queue ``W_local`` alongside the uncolored
-    members).  Pass 2 assigns colors to ``W_local`` in member order.
+    members).  Pass 2 assigns colors to ``W_local`` in member order, as one
+    batch: the ``|W_local|`` largest free colors at most ``|group| − 1``
+    (reverse first-fit, :meth:`ForbiddenSet.reverse_take`), or the policy's
+    :meth:`~repro.core.policies.Policy.choose_many`.
+    """
+    edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
+
+    def kernel(v: int, ctx) -> None:
+        group = group_of(v)
+        if group.size == 0:
+            ctx.charge_cpu(1)
+            return
+        cvals = ctx.colors[group]
+        colored = cvals >= 0
+        forb = thread_forbidden(ctx.thread_state, capacity)
+        forb.begin()
+        forb.add_many(cvals[colored])
+        targets = group[~colored | repeats(cvals)].tolist()
+        steps = 0
+        if targets:
+            if policy is None:
+                cols, steps = forb.reverse_take(group.size - 1, len(targets))
+                if len(cols) < len(targets):
+                    raise ColoringError(
+                        f"reverse first-fit exhausted the color budget at "
+                        f"{label} {v}"
+                    )
+            else:
+                cols, steps = policy.choose_many(forb, targets, ctx.thread_state)
+            ctx.write_many(targets, cols)
+
+        ctx.count_scans(int(group.size))
+        ctx.count_probes(steps)
+        ctx.charge_mem(group.size * edge + len(targets) * write)
+        ctx.charge_cpu((group.size + steps) * forbid)
+
+    return kernel
+
+
+def make_group_removal_kernel(group_of, cost: CostModel):
+    """Alg. 7 / Alg. 10 over the constraint group ``group_of(task)``.
+
+    The first member holding a given color keeps it; every later member
+    with a seen color is reset to ``UNCOLORED``.
+    """
+    edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
+
+    def kernel(v: int, ctx) -> None:
+        group = group_of(v)
+        if group.size == 0:
+            ctx.charge_cpu(1)
+            return
+        cvals = ctx.colors[group]
+        targets = group[(cvals >= 0) & repeats(cvals)].tolist()
+        ctx.write_many(targets, [UNCOLORED] * len(targets))
+        ctx.count_checks(int(group.size))
+        ctx.charge_mem(group.size * edge + len(targets) * write)
+        ctx.charge_cpu(group.size * forbid)
+
+    return kernel
+
+
+def _net_members(bg: BipartiteGraph):
+    nptr, nidx = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
+    return lambda v: nidx[nptr[v] : nptr[v + 1]]
+
+
+def make_net_color_kernel(bg: BipartiteGraph, cost: CostModel, policy=None):
+    """BGPC-COLORWORKQUEUE-NET (Alg. 8).
 
     With ``policy=None`` pass 2 is the paper's reverse first-fit cursor
     descending from ``|vtxs(v)| − 1`` — Lemma 1 guarantees it never goes
@@ -48,62 +138,9 @@ def make_net_color_kernel(bg: BipartiteGraph, cost: CostModel, policy=None):
     and the chosen color is added to the forbidden set to keep the net
     internally conflict-free.
     """
-    nptr, nidx = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
-    capacity = color_upper_bound(bg)
-    edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
-
-    def kernel(v: int, ctx) -> None:
-        members = nidx[nptr[v] : nptr[v + 1]]
-        if members.size == 0:
-            ctx.charge_cpu(1)
-            return
-        colors = ctx.colors
-        cvals = colors[members]
-        forb = thread_forbidden(ctx.thread_state, capacity)
-        forb.begin()
-
-        colored_pos = np.nonzero(cvals >= 0)[0]
-        vals = cvals[colored_pos]
-        uniq, first = np.unique(vals, return_index=True)
-        forb.add_many(uniq)
-        keep = np.zeros(colored_pos.size, dtype=bool)
-        keep[first] = True
-        dup_pos = colored_pos[~keep]
-        unc_pos = np.nonzero(cvals < 0)[0]
-        if dup_pos.size:
-            local = np.sort(np.concatenate((unc_pos, dup_pos)))
-        else:
-            local = unc_pos
-
-        steps = 0
-        if policy is None:
-            col = members.size - 1  # reverse first-fit start (Alg. 8 line 9)
-            for pos in local:
-                while forb.contains(col):
-                    col -= 1
-                    steps += 1
-                if col < 0:
-                    raise ColoringError(
-                        f"Lemma 1 violated at net {v}: reverse first-fit "
-                        "exhausted the color budget"
-                    )
-                ctx.write(int(members[pos]), col)
-                col -= 1
-                steps += 1
-        else:
-            for pos in local:
-                u = int(members[pos])
-                col, more = policy.choose(forb, u, ctx.thread_state)
-                forb.add(col)
-                ctx.write(u, col)
-                steps += more
-
-        ctx.count_scans(int(members.size))
-        ctx.count_probes(steps)
-        ctx.charge_mem(members.size * edge + int(local.size) * write)
-        ctx.charge_cpu((members.size + steps) * forbid)
-
-    return kernel
+    return make_group_color_kernel(
+        _net_members(bg), color_upper_bound(bg), cost, policy, "net"
+    )
 
 
 def make_net_color_kernel_v1(bg: BipartiteGraph, cost: CostModel, reverse: bool = False):
@@ -163,29 +200,4 @@ def make_net_removal_kernel(bg: BipartiteGraph, cost: CostModel):
     sweep detects *all* conflicts in Θ(|V|+|E|) but may reset more vertices
     than strictly necessary (the paper accepts this extra optimism).
     """
-    nptr, nidx = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
-    edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
-
-    def kernel(v: int, ctx) -> None:
-        members = nidx[nptr[v] : nptr[v + 1]]
-        if members.size == 0:
-            ctx.charge_cpu(1)
-            return
-        colors = ctx.colors
-        cvals = colors[members]
-        colored_pos = np.nonzero(cvals >= 0)[0]
-        resets = 0
-        if colored_pos.size > 1:
-            vals = cvals[colored_pos]
-            _, first = np.unique(vals, return_index=True)
-            if first.size != colored_pos.size:
-                keep = np.zeros(colored_pos.size, dtype=bool)
-                keep[first] = True
-                for pos in colored_pos[~keep]:
-                    ctx.write(int(members[pos]), UNCOLORED)
-                    resets += 1
-        ctx.count_checks(int(members.size))
-        ctx.charge_mem(members.size * edge + resets * write)
-        ctx.charge_cpu(members.size * forbid)
-
-    return kernel
+    return make_group_removal_kernel(_net_members(bg), cost)

@@ -3,7 +3,8 @@
 For D2GC the "net" of vertex ``v`` is the closed neighbourhood
 ``{v} ∪ nbor(v)``: all its members are mutually within distance 2, so — as
 in BGPC — a conflict is a repeated color inside one such group, and a sweep
-over all groups both colors and verifies in Θ(|V|+|E|).
+over all groups both colors and verifies in Θ(|V|+|E|).  The kernels are
+the BGPC group kernels of :mod:`repro.core.bgpc.net` over these groups.
 
 Difference from the BGPC kernels (per Section IV): the group includes the
 middle vertex ``v`` itself, processed first, and the reverse first-fit
@@ -15,14 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bgpc.vertex import thread_forbidden
+from repro.core.bgpc.net import make_group_color_kernel, make_group_removal_kernel
 from repro.core.d2gc.vertex import d2gc_color_upper_bound
-from repro.errors import ColoringError
 from repro.graph.unipartite import Graph
 from repro.machine.cost import CostModel
-from repro.types import UNCOLORED
 
 __all__ = ["make_net_color_kernel", "make_net_removal_kernel"]
+
+
+def _closed_neighbourhood(g: Graph):
+    ptr, idx = g.adj.ptr, g.adj.idx
+    return lambda v: np.concatenate(([v], idx[ptr[v] : ptr[v + 1]]))
 
 
 def make_net_color_kernel(g: Graph, cost: CostModel, policy=None):
@@ -32,59 +36,10 @@ def make_net_color_kernel(g: Graph, cost: CostModel, policy=None):
     queueing uncolored/duplicate members into ``W_local``; pass 2 assigns
     reverse first-fit from ``|nbor(v)|`` (or asks the policy).
     """
-    ptr, idx = g.adj.ptr, g.adj.idx
-    capacity = d2gc_color_upper_bound(g)
-    edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
-
-    def kernel(v: int, ctx) -> None:
-        ring = idx[ptr[v] : ptr[v + 1]]
-        group = np.concatenate(([v], ring))
-        colors = ctx.colors
-        cvals = colors[group]
-        forb = thread_forbidden(ctx.thread_state, capacity)
-        forb.begin()
-
-        colored_pos = np.nonzero(cvals >= 0)[0]
-        vals = cvals[colored_pos]
-        uniq, first = np.unique(vals, return_index=True)
-        forb.add_many(uniq)
-        keep = np.zeros(colored_pos.size, dtype=bool)
-        keep[first] = True
-        dup_pos = colored_pos[~keep]
-        unc_pos = np.nonzero(cvals < 0)[0]
-        if dup_pos.size:
-            local = np.sort(np.concatenate((unc_pos, dup_pos)))
-        else:
-            local = unc_pos
-
-        steps = 0
-        if policy is None:
-            col = ring.size  # |nbor(v)|: the middle vertex needs a slot too
-            for pos in local:
-                while forb.contains(col):
-                    col -= 1
-                    steps += 1
-                if col < 0:
-                    raise ColoringError(
-                        f"reverse first-fit exhausted colors at vertex {v}"
-                    )
-                ctx.write(int(group[pos]), col)
-                col -= 1
-                steps += 1
-        else:
-            for pos in local:
-                u = int(group[pos])
-                col, more = policy.choose(forb, u, ctx.thread_state)
-                forb.add(col)
-                ctx.write(u, col)
-                steps += more
-
-        ctx.count_scans(int(group.size))
-        ctx.count_probes(steps)
-        ctx.charge_mem(group.size * edge + int(local.size) * write)
-        ctx.charge_cpu((group.size + steps) * forbid)
-
-    return kernel
+    return make_group_color_kernel(
+        _closed_neighbourhood(g), d2gc_color_upper_bound(g), cost, policy,
+        "vertex",
+    )
 
 
 def make_net_removal_kernel(g: Graph, cost: CostModel):
@@ -93,27 +48,4 @@ def make_net_removal_kernel(g: Graph, cost: CostModel):
     The middle vertex is scanned first, so it always keeps its color; later
     group members clashing with an already-seen color are reset.
     """
-    ptr, idx = g.adj.ptr, g.adj.idx
-    edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
-
-    def kernel(v: int, ctx) -> None:
-        ring = idx[ptr[v] : ptr[v + 1]]
-        group = np.concatenate(([v], ring))
-        colors = ctx.colors
-        cvals = colors[group]
-        colored_pos = np.nonzero(cvals >= 0)[0]
-        resets = 0
-        if colored_pos.size > 1:
-            vals = cvals[colored_pos]
-            _, first = np.unique(vals, return_index=True)
-            if first.size != colored_pos.size:
-                keep = np.zeros(colored_pos.size, dtype=bool)
-                keep[first] = True
-                for pos in colored_pos[~keep]:
-                    ctx.write(int(group[pos]), UNCOLORED)
-                    resets += 1
-        ctx.count_checks(int(group.size))
-        ctx.charge_mem(group.size * edge + resets * write)
-        ctx.charge_cpu(group.size * forbid)
-
-    return kernel
+    return make_group_removal_kernel(_closed_neighbourhood(g), cost)

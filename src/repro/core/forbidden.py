@@ -5,6 +5,11 @@ structure is allocated once per thread and *never reset* — each use stamps
 entries with a fresh marker value, so membership is "``mark[color] ==
 current_stamp``".  This class reproduces that trick with a numpy marker
 array, giving O(1) insert/test and O(k) bulk insert with zero clearing cost.
+
+The scans return the probe count of the one-color-at-a-time loop they
+replace (cycles are charged from it) but search the marker array with
+numpy, so a long scan costs one vectorized pass rather than one Python
+call per probed color.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["ForbiddenSet"]
+
+#: Colors ``first_fit`` tests one by one before it switches to windowed
+#: numpy searches: most scans end within a few probes.
+_DIRECT_PROBES = 8
 
 
 class ForbiddenSet:
@@ -42,7 +51,8 @@ class ForbiddenSet:
         # Start at 1 so the zero-initialized marker array means "empty"
         # even before the first begin().
         self._stamp = 1
-        #: Number of membership probes since construction (cost accounting).
+        #: Probe steps since construction (cost accounting): one per
+        #: ``contains`` call plus the steps every scan reports.
         self.probes = 0
 
     @property
@@ -65,13 +75,13 @@ class ForbiddenSet:
         self._ensure(color)
         self._mark[color] = self._stamp
 
-    def add_many(self, colors: np.ndarray) -> None:
+    def add_many(self, colors) -> None:
         """Insert a batch of non-negative colors (vectorized)."""
-        if colors.size == 0:
-            return
-        top = int(colors.max())
-        self._ensure(top)
-        self._mark[colors] = self._stamp
+        try:
+            self._mark[colors] = self._stamp
+        except IndexError:  # a color beyond capacity: grow, then retry
+            self._ensure(int(np.max(colors)))
+            self._mark[colors] = self._stamp
 
     def contains(self, color: int) -> bool:
         """Membership test; colors beyond capacity are never members."""
@@ -82,19 +92,37 @@ class ForbiddenSet:
 
     __contains__ = contains
 
+    def free_upto(self, top: int) -> np.ndarray:
+        """Ascending non-forbidden colors in ``[0, top]`` (one numpy pass)."""
+        self._ensure(top)
+        return (self._mark[: top + 1] != self._stamp).nonzero()[0]
+
     # -- scan helpers (the first-fit inner loops of Algs. 2, 6, 8) ---------
 
     def first_fit(self, start: int = 0) -> tuple[int, int]:
-        """Smallest non-forbidden color ``>= start``.
+        """Smallest non-forbidden color ``>= start`` (``start >= 0``).
 
         Returns ``(color, steps)`` where ``steps`` counts the probes taken,
         for cycle accounting.
         """
+        mark, stamp = self._mark, self._stamp
+        size = mark.size
         col = start
-        steps = 1
-        while self.contains(col):
+        stop = min(start + _DIRECT_PROBES, size)
+        while col < stop and mark[col] == stamp:
             col += 1
-            steps += 1
+        if col == stop:
+            width = 4 * _DIRECT_PROBES
+            while col < size:
+                hi = min(col + width, size)
+                free = (mark[col:hi] != stamp).nonzero()[0]
+                if free.size:
+                    col += int(free[0])
+                    break
+                col = hi
+                width *= 4
+        steps = col - start + 1
+        self.probes += steps
         return col, steps
 
     def reverse_first_fit(self, start: int) -> tuple[int, int]:
@@ -105,8 +133,25 @@ class ForbiddenSet:
         safety check of Alg. 11 line 8).
         """
         col = start
-        steps = 1
-        while col >= 0 and self.contains(col):
-            col -= 1
-            steps += 1
+        if 0 <= start < self._mark.size:
+            free = (self._mark[: start + 1] != self._stamp).nonzero()[0]
+            col = int(free[-1]) if free.size else -1
+        steps = start - col + 1
+        self.probes += steps
         return col, steps
+
+    def reverse_take(self, top: int, k: int) -> tuple[list[int], int]:
+        """The ``k`` largest non-forbidden colors ``<= top``, descending.
+
+        Equivalent to ``k`` successive reverse first-fit picks, each
+        resuming one below the previous pick (Alg. 8 pass 2).  Returns
+        ``(colors, steps)`` with the probe count of that cursor loop,
+        ``top - colors[-1] + 1``.  Fewer than ``k`` colors come back when
+        ``[0, top]`` has fewer free ones; the caller decides how to fail.
+        """
+        if k == 0:
+            return [], 0
+        picks = self.free_upto(top)[::-1][:k].tolist()
+        steps = top - picks[-1] + 1 if picks else top + 1
+        self.probes += steps
+        return picks, steps

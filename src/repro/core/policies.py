@@ -15,16 +15,40 @@ implemented exactly as paper Algs. 11 and 12:
 Both keep their state (``colmax`` / ``colnext``) in the executing thread's
 persistent state dict, so they are *thread-private and unsynchronized*
 exactly as in the paper — the whole point is that balancing costs nothing.
+
+The net kernels color a whole work list per task through
+:meth:`Policy.choose_many`; it must return exactly what one ``choose`` per
+key (each pick added to the forbidden set) would.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.core.forbidden import ForbiddenSet
 
-__all__ = ["FirstFit", "B1Policy", "B2Policy", "POLICIES", "get_policy"]
+__all__ = ["Policy", "FirstFit", "B1Policy", "B2Policy", "POLICIES", "get_policy"]
 
 
-class FirstFit:
+class Policy:
+    """Base of the color policies: the batch form of ``choose``."""
+
+    def choose_many(
+        self, forbidden: ForbiddenSet, keys: list[int], state: dict
+    ) -> tuple[list[int], int]:
+        """Colors for ``keys`` in order, each added to ``forbidden`` before
+        the next pick; returns ``(colors, total_scan_steps)``."""
+        cols = []
+        steps = 0
+        for key in keys:
+            col, more = self.choose(forbidden, key, state)
+            forbidden.add(col)
+            cols.append(col)
+            steps += more
+        return cols, steps
+
+
+class FirstFit(Policy):
     """Plain first-fit: the smallest non-forbidden color."""
 
     name = "U"  # the paper's "unbalanced" suffix
@@ -34,7 +58,7 @@ class FirstFit:
         return forbidden.first_fit(0)
 
 
-class B1Policy:
+class B1Policy(Policy):
     """Paper Alg. 11 — balance without (deliberately) adding colors.
 
     Even-id elements scan downward from the thread's ``colmax``; if the
@@ -57,8 +81,42 @@ class B1Policy:
             state["colmax"] = col
         return col, steps
 
+    def choose_many(
+        self, forbidden: ForbiddenSet, keys: list[int], state: dict
+    ) -> tuple[list[int], int]:
+        """All of ``keys`` from one scan of ``[0, colmax]``.
 
-class B2Policy:
+        While that interval has free colors, ``colmax`` is fixed: an odd key
+        takes the smallest (``col + 1`` probes), an even key the largest
+        (``colmax - col + 1``).  Once it is full, each key takes the next
+        free color above ``colmax`` and raises it — through the first-fit
+        fallback for even keys, whose failed descending scan costs
+        ``colmax + 2`` probes first.
+        """
+        top = colmax = state.get("colmax", 0)
+        inside = deque(forbidden.free_upto(colmax).tolist())
+        cols = []
+        steps = 0
+        for key in keys:
+            if inside:
+                if key % 2:
+                    col = inside.popleft()
+                    steps += col + 1
+                else:
+                    col = inside.pop()
+                    steps += colmax - col + 1
+            else:
+                col, more = forbidden.first_fit(colmax + 1)
+                steps += more + (colmax + 1 if key % 2 else colmax + 2)
+                colmax = col
+            cols.append(col)
+        if colmax > top:
+            state["colmax"] = colmax
+        forbidden.add_many(cols)
+        return cols, steps
+
+
+class B2Policy(Policy):
     """Paper Alg. 12 — aggressive balancing with a rotating start color.
 
     The scan starts at the thread's ``colnext``; exceeding ``colmax``

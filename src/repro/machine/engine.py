@@ -45,7 +45,8 @@ class TaskContext:
     """Mutable per-task view handed to kernels.
 
     A kernel reads shared state through :attr:`colors` (the committed color
-    array as of its start cycle), records color writes with :meth:`write`,
+    array as of its start cycle), records color writes with :meth:`write`
+    or :meth:`write_many`,
     queue appends with :meth:`append`, and charges its own cycle costs with
     :meth:`charge_cpu` / :meth:`charge_mem`.
 
@@ -97,7 +98,7 @@ class TaskContext:
         self.colors = colors
         self.thread_id = thread_id
         self.thread_state = thread_state
-        self.writes.clear()
+        self.writes = []  # a fresh list: the memory keeps the last one
         self.appends.clear()
         self.cpu = 0
         self.mem = 0
@@ -108,6 +109,10 @@ class TaskContext:
     def write(self, index: int, value: int) -> None:
         """Buffer a color write; commits at this task's end cycle."""
         self.writes.append((index, value))
+
+    def write_many(self, indices: list[int], values: list[int]) -> None:
+        """Buffer one write per ``(indices[i], values[i])``, in order."""
+        self.writes.extend(zip(indices, values))
 
     def append(self, item: int) -> None:
         """Append to the next-iteration work queue."""
@@ -252,8 +257,8 @@ def run_parallel_for(
         # Stores become globally visible a race-window fraction into the
         # task, not at its very end — see CostModel.race_window_pct.
         commit_at = time + cost.write_visibility_delay(cycles)
-        for index_w, value in ctx.writes:
-            memory.write(index_w, value, commit_at)
+        if ctx.writes:
+            memory.write_many(ctx.writes, commit_at)
         if ctx.appends:
             if queue_mode == QUEUE_ATOMIC:
                 for item in ctx.appends:

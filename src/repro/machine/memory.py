@@ -39,27 +39,39 @@ class TimestampedMemory:
     ``commit_until`` must be called with non-decreasing times (the engine
     pops tasks in start-time order, which guarantees this).  Writes with
     equal commit times are applied in submission order, making "last writer
-    wins" deterministic.
+    wins" deterministic.  A task's writes are buffered as one batch, so the
+    heap holds one entry per task rather than one per write.
     """
 
-    __slots__ = ("values", "_pending", "_seq", "_clock")
+    __slots__ = ("values", "_pending", "_seq", "_clock", "_count")
 
     def __init__(self, values: np.ndarray):
         self.values = np.array(values, copy=True)
-        self._pending: list[tuple[int, int, int, int]] = []
+        # One heap entry per batch: (commit_time, seq, [(index, value), ...]).
+        self._pending: list[tuple[int, int, list[tuple[int, int]]]] = []
         self._seq = 0
         self._clock = 0
+        self._count = 0  # buffered writes, summed over all batches
 
     # -- engine interface -----------------------------------------------------
 
     def write(self, index: int, value: int, commit_time: int) -> None:
         """Buffer a write that becomes visible at ``commit_time``."""
+        self.write_many([(index, value)], commit_time)
+
+    def write_many(self, writes: list[tuple[int, int]], commit_time: int) -> None:
+        """Buffer a batch of ``(index, value)`` writes, all visible at
+        ``commit_time`` and applied in list order.
+
+        The list is kept, not copied: the caller must not mutate it after.
+        """
         if commit_time < self._clock:
             raise MachineError(
                 f"write commits at {commit_time} but memory clock is {self._clock}"
             )
-        heapq.heappush(self._pending, (commit_time, self._seq, index, value))
+        heapq.heappush(self._pending, (commit_time, self._seq, writes))
         self._seq += 1
+        self._count += len(writes)
 
     def commit_until(self, time: int) -> int:
         """Apply every buffered write with ``commit_time <= time``.
@@ -72,24 +84,23 @@ class TimestampedMemory:
                 f"commit_until({time}) after clock already at {self._clock}"
             )
         self._clock = time
-        applied = 0
-        pending = self._pending
-        values = self.values
-        while pending and pending[0][0] <= time:
-            _, _, index, value = heapq.heappop(pending)
-            values[index] = value
-            applied += 1
-        return applied
+        return self._apply(time)
 
     def flush(self) -> int:
         """Commit everything outstanding (used at phase barriers)."""
-        applied = 0
+        return self._apply(float("inf"))
+
+    def _apply(self, time) -> int:
+        """Apply the batches due by ``time``; returns the writes applied."""
         pending = self._pending
         values = self.values
-        while pending:
-            _, _, index, value = heapq.heappop(pending)
-            values[index] = value
-            applied += 1
+        applied = 0
+        while pending and pending[0][0] <= time:
+            _, _, writes = heapq.heappop(pending)
+            for index, value in writes:
+                values[index] = value
+            applied += len(writes)
+        self._count -= applied
         return applied
 
     def reset_clock(self) -> None:
@@ -110,7 +121,8 @@ class TimestampedMemory:
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        """Buffered writes not yet committed (not batches)."""
+        return self._count
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -108,3 +108,54 @@ class TestLifecycle:
         assert mem.pending_count == 1
         mem.flush()
         assert mem.pending_count == 0
+
+
+class TestBatchedWrites:
+    """A task's writes go in as one batch; counts stay per write."""
+
+    def test_equal_commit_times_apply_batches_in_submission_order(self):
+        mem = make()
+        mem.write_many([(0, 1), (1, 1)], commit_time=5)
+        mem.write_many([(1, 2), (2, 2)], commit_time=5)
+        mem.commit_until(5)
+        assert mem.snapshot().tolist() == [1, 2, 2, -1]
+
+    def test_last_writer_wins_within_and_across_batches(self):
+        mem = make()
+        mem.write_many([(0, 1), (0, 3)], commit_time=4)
+        mem.write_many([(1, 7)], commit_time=6)
+        mem.write_many([(1, 5)], commit_time=2)
+        mem.commit_until(6)
+        assert mem.read(0) == 3
+        assert mem.read(1) == 7
+
+    def test_batch_invisible_until_its_commit_time(self):
+        mem = make()
+        mem.write_many([(0, 1), (1, 1)], commit_time=10)
+        assert mem.commit_until(9) == 0
+        assert mem.snapshot().tolist() == [-1, -1, -1, -1]
+        assert mem.commit_until(10) == 2
+
+    def test_counts_are_writes_not_batches(self):
+        mem = make()
+        mem.write_many([(0, 1), (1, 1), (2, 1)], commit_time=3)
+        mem.write(3, 1, commit_time=8)
+        assert mem.pending_count == 4
+        assert mem.commit_until(3) == 3
+        assert mem.pending_count == 1
+        assert mem.flush() == 1
+        assert mem.pending_count == 0
+
+    def test_flush_drains_every_batch(self):
+        mem = make()
+        mem.write_many([(0, 4)], commit_time=100)
+        mem.write_many([(1, 5), (2, 6)], commit_time=50)
+        assert mem.flush() == 3
+        assert mem.snapshot().tolist() == [4, 5, 6, -1]
+        mem.reset_clock()  # nothing left pending
+
+    def test_batch_into_past_rejected(self):
+        mem = make()
+        mem.commit_until(10)
+        with pytest.raises(MachineError):
+            mem.write_many([(0, 1)], commit_time=5)

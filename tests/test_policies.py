@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.experiments.ablations import _B2WithDivisor
 from repro.core.forbidden import ForbiddenSet
 from repro.core.policies import B1Policy, B2Policy, FirstFit, POLICIES, get_policy
 
@@ -124,3 +127,91 @@ class TestPoliciesProduceValidColors:
             color, _ = policy.choose(forb, int(key), state)
             assert color >= 0
             assert color not in forb
+
+
+# -- batch picks: choose_many against per-key oracles ------------------------
+
+
+def oracle_b1_choose(forb, key, state):
+    """Alg. 11 with the one-probe-per-color scans."""
+    colmax = state.get("colmax", 0)
+    if key % 2 == 0:
+        col, steps = colmax, 1
+        while col >= 0 and forb.contains(col):
+            col -= 1
+            steps += 1
+        if col == -1:
+            col, more = colmax + 1, 1
+            while forb.contains(col):
+                col += 1
+                more += 1
+            steps += more
+    else:
+        col, steps = 0, 1
+        while forb.contains(col):
+            col += 1
+            steps += 1
+    if col > colmax:
+        state["colmax"] = col
+    return col, steps
+
+
+def oracle_choose_many(choose, forb, keys, state):
+    cols, steps = [], 0
+    for key in keys:
+        col, more = choose(forb, key, state)
+        forb.add(col)
+        cols.append(col)
+        steps += more
+    return cols, steps
+
+
+batches = st.tuples(
+    st.integers(min_value=1, max_value=40),  # initial capacity
+    st.sets(st.integers(min_value=0, max_value=60), max_size=50),  # marks
+    st.none() | st.integers(min_value=0, max_value=70),  # thread colmax
+    st.lists(st.integers(min_value=0, max_value=10_000), max_size=40),  # keys
+)
+
+
+def batch_case(capacity, marks, colmax):
+    forb = ForbiddenSet(capacity)
+    forb.begin()
+    forb.add_many(np.array(sorted(marks), dtype=np.int64))
+    state = {} if colmax is None else {"colmax": colmax}
+    return forb, state
+
+
+class TestChooseMany:
+    @settings(max_examples=400, deadline=None)
+    @given(batches)
+    def test_b1_matches_per_key_oracle(self, case):
+        capacity, marks, colmax, keys = case
+        forb, state = batch_case(capacity, marks, colmax)
+        got = B1Policy().choose_many(forb, keys, state)
+        oforb, ostate = batch_case(capacity, marks, colmax)
+        want = oracle_choose_many(oracle_b1_choose, oforb, keys, ostate)
+        assert got == want
+        assert state.get("colmax", 0) == ostate.get("colmax", 0)
+        assert all(c in forb for c in got[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches, st.sampled_from([2, 3, 5, 10]))
+    def test_b2_subclass_keeps_its_own_choose(self, case, divisor):
+        """The batch form must route through the subclass's ``choose``."""
+        capacity, marks, colmax, keys = case
+        policy = _B2WithDivisor(divisor)
+        forb, state = batch_case(capacity, marks, colmax)
+        got = policy.choose_many(forb, keys, state)
+        oforb, ostate = batch_case(capacity, marks, colmax)
+        want = oracle_choose_many(policy.choose, oforb, keys, ostate)
+        assert got == want
+        assert state == ostate
+
+    def test_b1_full_interval_falls_back_above_colmax(self):
+        forb = forb_with(0, 1, 2, 4)
+        state = {"colmax": 2}
+        # odd: 3 (4 probes, colmax -> 3); even: 5 after a failed descent
+        # over [0, 3] (5 probes) and a first-fit from 4 (2 probes).
+        assert B1Policy().choose_many(forb, [1, 0], state) == ([3, 5], 11)
+        assert state["colmax"] == 5
