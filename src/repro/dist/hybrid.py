@@ -20,17 +20,12 @@ from repro.core.bgpc.vertex import make_vertex_color_kernel
 from repro.core.plan import PhasePlan
 from repro.core.policies import FirstFit
 from repro.dist.mpi import ClusterModel
-from repro.dist.superstep import (
-    DistributedResult,
-    _validated_partition,
-    boundary_mask,
-    detect_losers,
-)
+from repro.dist.superstep import DistributedResult, _result, _setup, run_supersteps
 from repro.errors import ColoringError
 from repro.graph.bipartite import BipartiteGraph
 from repro.machine.cost import CostModel
 from repro.machine.engine import QUEUE_NONE
-from repro.types import UNCOLORED, PhaseKind
+from repro.types import PhaseKind
 
 __all__ = ["hybrid_bgpc"]
 
@@ -51,60 +46,36 @@ def hybrid_bgpc(
     are merged, and conflicting vertices (intra-rank races *and* cross-rank
     speculation) are reset and re-queued.  Deterministic: races are the
     simulator's.
+
+    *Every* vertex goes through the supersteps, interior ones included:
+    a rank's threads race, so its interior picks need the resolver too.
+    The result's ``interior`` / ``boundary`` fields are therefore partition
+    statistics only — an edgeless graph reports every vertex interior yet
+    still takes supersteps and exchanges one word per vertex.
     """
     if threads_per_rank < 1:
         raise ColoringError(
             f"threads_per_rank must be >= 1, got {threads_per_rank}"
         )
-    if batch < 1:
-        raise ColoringError(f"batch must be >= 1, got {batch}")
-    cluster = cluster if cluster is not None else ClusterModel(ranks)
-    ranks = cluster.ranks
+    cluster, part, is_boundary, colors = _setup(bg, ranks, batch, partition, cluster)
     cost = cost if cost is not None else CostModel()
-    n = bg.num_vertices
-    part = _validated_partition(partition, n, ranks)
-    is_boundary = boundary_mask(bg, part)
     kernel = make_vertex_color_kernel(bg, FirstFit(), cost)
     plan = PhasePlan(
         phase=PhaseKind.COLOR, kind="vertex", chunk=1, queue_mode=QUEUE_NONE
     )
 
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
-    pending = np.arange(n, dtype=np.int64)
-    conflicts = 0
-    while pending.size:
-        batch_vs, rest = pending[:batch], pending[batch:]
-        owners = part[batch_vs]
-        compute = [0.0] * ranks
-        words = [0] * ranks
-        messages = [0] * ranks
-        merged = colors.copy()
-        for r in range(ranks):
-            mine = batch_vs[owners == r]
-            if mine.size == 0:
-                continue
-            engine = SimPhaseEngine(colors.copy(), threads_per_rank, cost)
-            engine.run_phase(plan, mine.size, kernel, task_ids=mine)
-            merged[mine] = engine.values[mine]
-            compute[r] = engine.total_cycles
-            words[r] = int(mine.size)
-            messages[r] = 1
-        colors = merged
-        losers, _ = detect_losers(bg, batch_vs, colors)
-        colors[losers] = UNCOLORED
-        conflicts += len(losers)
-        cluster.superstep(compute, words, messages)
-        pending = np.concatenate([losers, rest])
+    def color_slices(slices):
+        picks, compute = [], [0.0] * len(slices)
+        for r, mine in enumerate(slices):
+            if mine.size:
+                engine = SimPhaseEngine(colors.copy(), threads_per_rank, cost)
+                engine.run_phase(plan, mine.size, kernel, task_ids=mine)
+                picks.append((mine, engine.values[mine]))
+                compute[r] = engine.total_cycles
+        words = [int(mine.size) for mine in slices]
+        return picks, compute, words, [int(w > 0) for w in words]
 
-    return DistributedResult(
-        colors=colors,
-        num_colors=int(colors.max()) + 1 if colors.size else 0,
-        ranks=ranks,
-        interior=int((~is_boundary).sum()),
-        boundary=int(is_boundary.sum()),
-        supersteps=cluster.num_supersteps,
-        conflicts=conflicts,
-        comm_words=cluster.total_words,
-        comm_messages=cluster.total_messages,
-        cycles=cluster.total_cycles,
-    )
+    pending = np.arange(bg.num_vertices, dtype=np.int64)
+    steps = run_supersteps(bg, part, cluster, colors, pending, batch, color_slices)
+    conflicts = sum(len(losers) for _, losers, _ in steps)
+    return _result(colors, cluster, is_boundary, conflicts, 0.0)

@@ -20,15 +20,14 @@ processes — the shared-memory substrate PR 4 built for ``backend="process"``
    straight into the shared color segment.  Interior vertices of different
    shards never share a group (a shared group makes both *boundary*), so
    the phase is deterministic at any shard count.
-3. **Boundary supersteps.**  The remaining vertices are resolved in
-   batched bulk-synchronous rounds: each shard colors its slice of the
-   batch against a private snapshot of the committed palette
-   (:func:`~repro.core.procworker.run_frontier`) and ships its picks back
-   as packed ``(ids, colors)`` int64 arrays — the *actual* frontier
-   exchange, counted into ``shard.comm_words`` / ``shard.comm_messages``
-   instead of a model charge.  The parent commits the exchange, detects
-   cross-shard conflicts (smaller vertex id wins, exactly the oracle's
-   rule) and re-queues the losers.
+3. **Boundary supersteps.**  The remaining vertices go through
+   :func:`repro.dist.superstep.run_supersteps`, the loop
+   :func:`~repro.dist.distributed_bgpc` and :func:`~repro.dist.hybrid_bgpc`
+   share.  Here each shard colors its slice of a batch in a worker
+   (:func:`~repro.core.procworker.run_frontier`) against a private snapshot
+   of the committed palette and ships its picks back as packed
+   ``(ids, colors)`` int64 arrays — the *actual* frontier exchange, which a
+   :class:`~repro.dist.mpi.ClusterModel` counts into ``shard.*``.
 
 Given the same partition and batch size the colors, superstep count and
 conflict count are **equal** to :func:`repro.dist.distributed_bgpc` — the
@@ -52,7 +51,7 @@ import numpy as np
 
 from repro.core.backends import Capabilities, RunRecorder
 from repro.errors import ColoringError
-from repro.types import ColoringResult, UNCOLORED
+from repro.types import ColoringResult
 
 __all__ = ["ShardedBackend"]
 
@@ -91,7 +90,7 @@ class ShardedBackend:
         threads,
         cost=None,
         policy=None,
-        max_iterations=200,
+        max_iterations=200,  # unused: run_supersteps bounds its own loop
         fastpath_mode="exact",  # accepted for signature uniformity; unused
         tracer=None,
         initial_colors=None,
@@ -104,8 +103,9 @@ class ShardedBackend:
 
         from repro.core import procworker
         from repro.core.backends import ProcessPhaseEngine
+        from repro.dist.mpi import ClusterModel
         from repro.dist.partition import get_partitioner
-        from repro.dist.superstep import boundary_mask, detect_losers
+        from repro.dist.superstep import boundary_mask, run_supersteps
         from repro.graph.bipartite import BipartiteGraph
         from repro.obs.tracer import ensure_tracer
         from repro.obs.work import WorkCounters
@@ -138,13 +138,16 @@ class ShardedBackend:
         gview = BipartiteGraph.from_net_to_vtxs(adapter.fastpath_groups())
         part = partition_fn(gview, threads, seed=seed)
         is_boundary = boundary_mask(gview, part)
-        n = adapter.n_targets
-        owners_of = [
+        pending = np.nonzero(is_boundary)[0].astype(np.int64)
+        interior = adapter.n_targets - pending.size
+        owned = [
             np.nonzero((part == r) & ~is_boundary)[0].astype(np.int64)
             for r in range(threads)
         ]
-
-        comm_words = comm_messages = conflicts_total = supersteps = 0
+        # Counts the real exchanges (shard.supersteps/comm_*); its modeled
+        # cycles are not reported.
+        cluster = ClusterModel(threads)
+        conflicts = 0
         # Constructed before the pool so the run's wall time includes its setup.
         rec = RunRecorder(
             tracer, name, self.name, threads=threads, partitioner=partitioner
@@ -153,6 +156,38 @@ class ShardedBackend:
         engine = ProcessPhaseEngine(
             adapter, threads, cost=cost, tracer=tracer, policy=policy, fault=fault
         )
+
+        def pool_map(slices, phase, work, chunk_key=None):
+            """Run one pool task per non-empty slice; return the results.
+
+            The slices are laid end to end in the shared work queue.  Tasks
+            are ``run_chunk`` (writing the shared colors) under ``chunk_key``,
+            else ``run_frontier`` (returning their picks).  Their operation
+            counts merge into ``work``; a dead worker raises
+            :class:`ColoringError` naming ``phase``.
+            """
+            tasks = []
+            lo = 0
+            for ids in slices:
+                if ids.size:
+                    engine.work[lo : lo + ids.size] = ids
+                    tasks.append((lo, lo + ids.size))
+                    lo += ids.size
+            fn = procworker.run_frontier
+            if chunk_key is not None:
+                fn = procworker.run_chunk
+                tasks = [(chunk_key, lo, hi, True) for lo, hi in tasks]
+            try:
+                results = list(engine.pool.map(fn, tasks))
+            except BrokenProcessPool as exc:
+                raise ColoringError(
+                    f"sharded backend: a worker process died during {phase}; "
+                    "shared segments are reclaimed by the parent"
+                ) from exc
+            for result in results:
+                work.merge(result[-1])
+            return results
+
         try:
             with rec:
                 # ---- interior phase: one slice per shard, no cross-talk --
@@ -161,98 +196,51 @@ class ShardedBackend:
                     "phase", iteration=0, phase="color", kind="interior"
                 ) as phase_span:
                     iter_start = time.perf_counter()
-                    ranges = []
-                    lo = 0
-                    for ids in owners_of:
-                        if ids.size:
-                            engine.work[lo : lo + ids.size] = ids
-                            ranges.append(("color:vertex", lo, lo + ids.size, True))
-                            lo += ids.size
-                    try:
-                        for _pid, _done, _appends, chunk_work in engine.pool.map(
-                            procworker.run_chunk, ranges
-                        ):
-                            interior_work.merge(chunk_work)
-                    except BrokenProcessPool as exc:
-                        raise ColoringError(
-                            "sharded backend: a worker process died during "
-                            "the interior phase; shared segments are "
-                            "reclaimed by the parent"
-                        ) from exc
-                    phase_span.set(items=lo)
+                    pool_map(owned, "the interior phase", interior_work, "color:vertex")
+                    phase_span.set(items=interior)
                 rec.add_work(interior_work, iteration=0, phase="color", kind="interior")
                 rec.record(
                     engine.colors,
-                    queue_size=lo,
+                    queue_size=interior,
                     conflicts=0,
                     wall_seconds=time.perf_counter() - iter_start,
                 )
 
                 # ---- boundary supersteps ---------------------------------
-                pending = np.nonzero(is_boundary)[0].astype(np.int64)
-                boundary_total = int(pending.size)
-                while pending.size:
-                    if supersteps >= max(max_iterations, boundary_total + 1):
-                        raise ColoringError(
-                            f"{name} did not converge in {supersteps} "
-                            f"supersteps ({pending.size} boundary vertices "
-                            "still pending)"
-                        )
-                    iter_start = time.perf_counter()
-                    batch_vs, rest = pending[:batch], pending[batch:]
+                # Each shard colors its slice against a private snapshot and
+                # ships its picks back: two words per pick, one message.
+                step_work, step_words = WorkCounters(), 0
+
+                def color_slices(slices):
+                    nonlocal step_work, step_words
                     step_work = WorkCounters()
-                    # Per-rank slices in batch (not sorted) order: the
-                    # oracle's overlays accumulate in batch order too.
-                    owners = part[batch_vs]
-                    ranges = []
-                    lo = 0
-                    for r in range(threads):
-                        mine = batch_vs[owners == r]
-                        if mine.size:
-                            engine.work[lo : lo + mine.size] = mine
-                            ranges.append((lo, lo + mine.size))
-                            lo += mine.size
-                    exchanges = []
-                    try:
-                        for _pid, ids, cols, frontier_work in engine.pool.map(
-                            procworker.run_frontier, ranges
-                        ):
-                            exchanges.append((ids, cols))
-                            step_work.merge(frontier_work)
-                            comm_words += 2 * int(ids.size)
-                            comm_messages += 1
-                    except BrokenProcessPool as exc:
-                        raise ColoringError(
-                            "sharded backend: a worker process died during "
-                            f"superstep {supersteps}; shared segments are "
-                            "reclaimed by the parent"
-                        ) from exc
-                    # Commit the exchange (disjoint ids: one owner each),
-                    # then detect cross-shard conflicts on the committed
-                    # palette — smaller vertex id wins, as everywhere.
-                    writes = 0
-                    for ids, cols in exchanges:
-                        engine.colors[ids] = cols
-                        writes += int(ids.size)
-                    losers, checks = detect_losers(
-                        gview, batch_vs, engine.colors
-                    )
+                    words = [0] * threads
+                    picks = []
+                    phase = f"superstep {cluster.num_supersteps}"
+                    results = pool_map(slices, phase, step_work)
+                    busy = [r for r, ids in enumerate(slices) if ids.size]
+                    for r, (_pid, ids, cols, _work) in zip(busy, results):
+                        picks.append((ids, cols))
+                        words[r] = 2 * int(ids.size)
+                    step_words = sum(words)
+                    messages = [int(ids.size > 0) for ids in slices]
+                    return picks, [0.0] * threads, words, messages
+
+                iter_start = time.perf_counter()
+                steps = run_supersteps(
+                    gview, part, cluster, engine.colors, pending, batch, color_slices
+                )
+                for step, (batch_vs, losers, checks) in enumerate(steps):
                     step_work.add("conflict_checks", checks)
-                    engine.colors[losers] = UNCOLORED
                     step_work.add("color_writes", len(losers))
                     step_work.add("queue_pushes", len(losers))
-                    conflicts_total += len(losers)
+                    conflicts += len(losers)
                     rec.add_work(
-                        step_work,
-                        iteration=supersteps + 1,
-                        phase="superstep",
-                        kind="boundary",
+                        step_work, iteration=step + 1, phase="superstep", kind="boundary"
                     )
                     if tracer.enabled:
                         tracer.counter(
-                            "shard.exchange_words",
-                            2 * writes,
-                            superstep=supersteps,
+                            "shard.exchange_words", step_words, superstep=step
                         )
                     rec.record(
                         engine.colors,
@@ -260,22 +248,24 @@ class ShardedBackend:
                         conflicts=len(losers),
                         wall_seconds=time.perf_counter() - iter_start,
                     )
-                    supersteps += 1
-                    pending = np.concatenate([losers, rest])
+                    iter_start = time.perf_counter()
 
                 rec.close(
-                    engine.snapshot(), supersteps=supersteps, comm_words=comm_words
+                    engine.snapshot(),
+                    supersteps=cluster.num_supersteps,
+                    comm_words=cluster.total_words,
                 )
         finally:
             engine.close()
 
         return rec.result(
             {
-                "shard.interior": n - boundary_total,
-                "shard.boundary": boundary_total,
-                "shard.supersteps": supersteps,
-                "shard.conflicts": conflicts_total,
-                "shard.comm_words": comm_words,
-                "shard.comm_messages": comm_messages,
+                "shard.interior": interior,
+                "shard.boundary": int(pending.size),
+                "shard.supersteps": cluster.num_supersteps,
+                "shard.conflicts": conflicts,
+                "shard.comm_words": cluster.total_words,
+                "shard.comm_messages": cluster.total_messages,
             }
         )
+

@@ -30,6 +30,7 @@ __all__ = [
     "boundary_mask",
     "detect_losers",
     "distributed_bgpc",
+    "run_supersteps",
 ]
 
 
@@ -37,8 +38,10 @@ __all__ = [
 class DistributedResult:
     """Outcome of a distributed (or hybrid) BGPC run.
 
-    ``interior`` / ``boundary`` count the partition-induced vertex classes;
-    ``supersteps`` and ``conflicts`` describe the boundary resolution;
+    ``interior`` / ``boundary`` count the partition-induced vertex classes
+    (partition statistics only for :func:`~repro.dist.hybrid_bgpc`, which
+    sends interior vertices through the supersteps too);
+    ``supersteps`` and ``conflicts`` describe the superstep resolution;
     ``comm_words`` / ``comm_messages`` the exchanged traffic; ``cycles``
     the modeled end-to-end cost (local compute plus the cluster charge).
     """
@@ -53,23 +56,6 @@ class DistributedResult:
     comm_words: int
     comm_messages: int
     cycles: float
-
-
-def _validated_partition(partition, n: int, ranks: int) -> np.ndarray:
-    if partition is None:
-        return partition_contiguous(n, ranks)
-    part = np.asarray(partition, dtype=np.int64)
-    if part.shape != (n,):
-        raise ColoringError(
-            f"partition must have one owner per vertex ({n}), got shape "
-            f"{part.shape}"
-        )
-    if part.size and (part.min() < 0 or part.max() >= ranks):
-        raise ColoringError(
-            f"partition owners must lie in [0, {ranks}); got range "
-            f"[{int(part.min())}, {int(part.max())}]"
-        )
-    return part
 
 
 def boundary_mask(bg: BipartiteGraph, part: np.ndarray) -> np.ndarray:
@@ -189,6 +175,85 @@ def _neighbor_ranks(bg: BipartiteGraph, u: int, part: np.ndarray) -> set:
     return others
 
 
+def run_supersteps(bg, part, cluster, colors, pending, batch, color_slices):
+    """The one superstep loop: resolve ``pending`` in batches, yielding each.
+
+    Each superstep splits the next ``batch`` pending vertices by owner, in
+    batch order, into one slice per rank of ``cluster`` and calls
+    ``color_slices(slices) -> (picks, compute, words, messages)``: ``picks``
+    lists ``(ids, colors)`` arrays chosen against the committed ``colors``,
+    the rest are per-rank lists charged to ``cluster``.  The picks are
+    committed into ``colors`` in place, the losers (:func:`detect_losers`)
+    reset, and ``(batch_vs, losers, checks)`` yielded; the losers re-queue
+    ahead of the rest.  A batch's smallest id always keeps its pick, so
+    more than ``len(pending)`` supersteps raise :class:`ColoringError`.
+    """
+    bound = pending.size
+    step = 0
+    while pending.size:
+        if step > bound:
+            raise ColoringError(
+                f"supersteps did not converge in {step} rounds "
+                f"({pending.size} vertices still pending)"
+            )
+        batch_vs, rest = pending[:batch], pending[batch:]
+        owners = part[batch_vs]
+        picks, compute, words, messages = color_slices(
+            [batch_vs[owners == r] for r in range(cluster.ranks)]
+        )
+        for ids, cols in picks:
+            colors[ids] = cols
+        losers, checks = detect_losers(bg, batch_vs, colors)
+        colors[losers] = UNCOLORED
+        cluster.superstep(compute, words, messages)
+        yield batch_vs, losers, checks
+        pending = np.concatenate([losers, rest])
+        step += 1
+
+
+def _setup(bg, ranks, batch, partition, cluster):
+    """Checked ``(cluster, part, is_boundary, colors)`` of a modeled run."""
+    if batch < 1:
+        raise ColoringError(f"batch must be >= 1, got {batch}")
+    if cluster is None:
+        if ranks < 1:
+            raise ColoringError(f"ranks must be >= 1, got {ranks}")
+        cluster = ClusterModel(ranks)
+    n, ranks = bg.num_vertices, cluster.ranks
+    if partition is None:
+        part = partition_contiguous(n, ranks)
+    else:
+        part = np.asarray(partition, dtype=np.int64)
+        if part.shape != (n,):
+            raise ColoringError(
+                f"partition must have one owner per vertex ({n}), got shape "
+                f"{part.shape}"
+            )
+        if part.size and (part.min() < 0 or part.max() >= ranks):
+            raise ColoringError(
+                f"partition owners must lie in [0, {ranks}); got range "
+                f"[{int(part.min())}, {int(part.max())}]"
+            )
+    colors = np.full(n, UNCOLORED, dtype=np.int64)
+    return cluster, part, boundary_mask(bg, part), colors
+
+
+def _result(colors, cluster, is_boundary, conflicts, cycles) -> DistributedResult:
+    """The run's :class:`DistributedResult`; ``cycles`` adds to the cluster's."""
+    return DistributedResult(
+        colors=colors,
+        num_colors=int(colors.max()) + 1 if colors.size else 0,
+        ranks=cluster.ranks,
+        interior=int((~is_boundary).sum()),
+        boundary=int(is_boundary.sum()),
+        supersteps=cluster.num_supersteps,
+        conflicts=conflicts,
+        comm_words=cluster.total_words,
+        comm_messages=cluster.total_messages,
+        cycles=cycles + cluster.total_cycles,
+    )
+
+
 def distributed_bgpc(
     bg: BipartiteGraph,
     ranks: int = 4,
@@ -203,8 +268,8 @@ def distributed_bgpc(
     bg:
         The bipartite instance.
     ranks:
-        Number of ranks; ignored when ``cluster`` is given (its rank count
-        wins).
+        Number of ranks (>= 1); ignored when ``cluster`` is given (its rank
+        count wins).
     batch:
         Boundary vertices colored per superstep (>= 1): bigger batches mean
         fewer supersteps but more speculative conflicts.
@@ -216,65 +281,35 @@ def distributed_bgpc(
         (fresh default otherwise).  Observational only — colors and
         supersteps never depend on it.
     """
-    if batch < 1:
-        raise ColoringError(f"batch must be >= 1, got {batch}")
-    cluster = cluster if cluster is not None else ClusterModel(ranks)
-    ranks = cluster.ranks
-    if ranks < 1:
-        raise ColoringError(f"ranks must be >= 1, got {ranks}")
-    n = bg.num_vertices
-    part = _validated_partition(partition, n, ranks)
-    is_boundary = boundary_mask(bg, part)
-    colors = np.full(n, UNCOLORED, dtype=np.int64)
+    cluster, part, is_boundary, colors = _setup(bg, ranks, batch, partition, cluster)
 
     # Interior vertices never share a net across ranks: every rank colors
     # its own greedily, no exchange needed.  Charged as one parallel phase
     # (slowest rank's scan count).
-    interior_scans = [0] * ranks
+    interior_scans = [0] * cluster.ranks
     for u in np.nonzero(~is_boundary)[0].tolist():
         c, scans = _first_fit(bg, u, colors, {})
         colors[u] = c
         interior_scans[part[u]] += scans
-    cycles = float(max(interior_scans)) if interior_scans else 0.0
 
-    # Boundary vertices go through batched speculative supersteps.
+    # Boundary vertices go through batched speculative supersteps: a rank
+    # first-fits its slice against the committed palette plus its own picks
+    # and announces one word per pick to every rank it borders.
+    def color_slices(slices):
+        picks, compute, messages = [], [], []
+        for mine in slices:
+            overlay, scanned, borders = {}, 0.0, set()
+            for u in mine.tolist():
+                c, scans = _first_fit(bg, u, colors, overlay)
+                overlay[u] = c
+                scanned += scans
+                borders |= _neighbor_ranks(bg, u, part)
+            picks.append((mine, np.array(list(overlay.values()), dtype=np.int64)))
+            compute.append(scanned)
+            messages.append(len(borders))
+        return picks, compute, [int(mine.size) for mine in slices], messages
+
     pending = np.nonzero(is_boundary)[0].astype(np.int64)
-    conflicts = 0
-    while pending.size:
-        batch_vs, rest = pending[:batch], pending[batch:]
-        compute = [0.0] * ranks
-        words = [0] * ranks
-        messages = [0] * ranks
-        overlays: list[dict] = [{} for _ in range(ranks)]
-        neighbor_ranks: list[set] = [set() for _ in range(ranks)]
-        for u in batch_vs.tolist():
-            r = int(part[u])
-            c, scans = _first_fit(bg, u, colors, overlays[r])
-            overlays[r][u] = c
-            compute[r] += scans
-            words[r] += 1
-            neighbor_ranks[r] |= _neighbor_ranks(bg, u, part)
-        for overlay in overlays:
-            for u, c in overlay.items():
-                colors[u] = c
-        for r in range(ranks):
-            messages[r] = len(neighbor_ranks[r]) if words[r] else 0
-        losers, _ = detect_losers(bg, batch_vs, colors)
-        colors[losers] = UNCOLORED
-        conflicts += len(losers)
-        cluster.superstep(compute, words, messages)
-        pending = np.concatenate([losers, rest])
-
-    cycles += cluster.total_cycles
-    return DistributedResult(
-        colors=colors,
-        num_colors=int(colors.max()) + 1 if colors.size else 0,
-        ranks=ranks,
-        interior=int((~is_boundary).sum()),
-        boundary=int(is_boundary.sum()),
-        supersteps=cluster.num_supersteps,
-        conflicts=conflicts,
-        comm_words=cluster.total_words,
-        comm_messages=cluster.total_messages,
-        cycles=cycles,
-    )
+    steps = run_supersteps(bg, part, cluster, colors, pending, batch, color_slices)
+    conflicts = sum(len(losers) for _, losers, _ in steps)
+    return _result(colors, cluster, is_boundary, conflicts, float(max(interior_scans)))

@@ -252,3 +252,49 @@ class TestClusterCostSensitivity:
         assert np.array_equal(a.colors, b.colors)
         assert a.supersteps == b.supersteps
         assert a.conflicts == b.conflicts
+
+
+class TestSharedSetup:
+    """Argument checks and the superstep loop shared by both modeled paths."""
+
+    @pytest.mark.parametrize("ranks", [0, -1])
+    def test_bad_ranks_raise_coloring_error(self, instance, ranks):
+        from repro.dist import hybrid_bgpc
+
+        for run in (distributed_bgpc, hybrid_bgpc):
+            with pytest.raises(ColoringError, match="ranks must be >= 1"):
+                run(instance, ranks=ranks)
+
+    def test_given_cluster_overrides_ranks(self, instance):
+        result = distributed_bgpc(instance, ranks=0, cluster=ClusterModel(2))
+        assert result.ranks == 2
+        validate_bgpc(instance, result.colors)
+
+    def test_hybrid_interior_is_a_partition_statistic(self):
+        # Every hybrid vertex takes the supersteps, even on an edgeless
+        # graph where the partition calls all of them interior.
+        from repro.dist import hybrid_bgpc
+        from repro.graph import bipartite_from_edges
+
+        bg = bipartite_from_edges([], num_nets=2, num_vertices=5)
+        result = hybrid_bgpc(bg, ranks=2)
+        assert (result.interior, result.boundary) == (5, 0)
+        assert (result.supersteps, result.comm_words) == (1, 5)
+
+    def test_superstep_loop_guards_against_no_progress(self):
+        # A coloring step that always repeats a committed neighbor's color
+        # never retires its vertex; the loop must raise, not spin.
+        from repro.dist.superstep import run_supersteps
+        from repro.graph import bipartite_from_edges
+
+        bg = bipartite_from_edges([(0, 0), (1, 0)], num_vertices=2, num_nets=1)
+        part = np.zeros(2, dtype=np.int64)
+        colors = np.array([0, -1], dtype=np.int64)
+        pending = np.array([1], dtype=np.int64)
+
+        def stuck(slices):
+            return [(s, np.zeros(s.size, dtype=np.int64)) for s in slices], [0], [0], [0]
+
+        steps = run_supersteps(bg, part, ClusterModel(1), colors, pending, 1, stuck)
+        with pytest.raises(ColoringError, match="did not converge"):
+            list(steps)

@@ -406,3 +406,29 @@ class TestShardedCli:
         )
         assert code == 2
         assert "sharded" in capsys.readouterr().err
+
+
+class TestWorkerCrash:
+    """A killed pool worker surfaces as one ColoringError naming the phase,
+    in the interior phase and in a boundary superstep alike, and the
+    parent still reclaims every shared segment.
+
+    ``kill`` dies on a worker's first task, which is an interior slice.
+    ``kill:3`` dies on a worker's third task; the interior phase has only
+    two (one per shard), so it dies in a superstep — which one depends on
+    how the pool hands tasks to its two workers."""
+
+    @pytest.mark.parametrize(
+        "fault, phase",
+        [("kill", "the interior phase"), ("kill:3", r"superstep \d+;")],
+    )
+    def test_killed_worker_raises_and_leaks_nothing(
+        self, instance, monkeypatch, fault, phase
+    ):
+        import glob
+
+        monkeypatch.setenv("REPRO_PROCESS_FAULT", fault)
+        before = set(glob.glob("/dev/shm/repro_shm_*"))
+        with pytest.raises(ColoringError, match=f"worker process died during {phase}"):
+            color_bgpc(instance, "V-V", threads=2, backend="sharded", batch=20)
+        assert set(glob.glob("/dev/shm/repro_shm_*")) == before
