@@ -194,6 +194,7 @@ class ProcessPhaseEngine:
         policy=None,
         fault=None,
         initial_colors: np.ndarray | None = None,
+        resumed: bool = False,
     ):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -205,7 +206,7 @@ class ProcessPhaseEngine:
 
         if threads < 1:
             raise ColoringError(f"process backend needs threads >= 1, got {threads}")
-        spec = adapter.process_spec()
+        spec = adapter.process_spec(resumed=resumed)
         self.tracer = ensure_tracer(tracer)
         self.threads = threads
         self.fault = fault
@@ -585,7 +586,10 @@ def run_plan_loop(
     engine starts from a partially valid color array.  Net-based *color*
     phases still sweep every net regardless of the queue (their kernels are
     queue-blind by design), so frontier runs should use vertex-based
-    schedules to realize the work savings.
+    schedules to realize the work savings.  The vertex kernels of such a
+    run are built ``resumed`` and flatten no whole-graph two-hop cache:
+    vertex removal only requeues vertices already queued, so the run only
+    ever walks the frontier's rows.
 
     Work metrics: after each phase the engine's
     :class:`~repro.obs.work.WorkCounters` are emitted as ``work.<metric>``
@@ -610,6 +614,7 @@ def run_plan_loop(
 
     tracer = ensure_tracer(tracer)
     color_kernels: dict[str, tuple[Callable, Callable]] = {}
+    resumed = initial_work is not None
 
     def _color_kernels(label: str) -> tuple[Callable, Callable]:
         # One (vertex, net) coloring-kernel pair per active balancing
@@ -628,13 +633,13 @@ def run_plan_loop(
                 None if isinstance(vertex_policy, FirstFit) else vertex_policy
             )
             kernels = (
-                adapter.make_vertex_color_kernel(vertex_policy),
+                adapter.make_vertex_color_kernel(vertex_policy, resumed=resumed),
                 adapter.make_net_color_kernel(net_policy),
             )
             color_kernels[key] = kernels
         return kernels
 
-    vertex_remove = adapter.make_vertex_removal_kernel()
+    vertex_remove = adapter.make_vertex_removal_kernel(resumed=resumed)
     net_remove = adapter.make_net_removal_kernel()
 
     reset = getattr(schedule, "reset", None)
@@ -978,6 +983,7 @@ class ProcessBackend:
         engine = ProcessPhaseEngine(
             adapter, threads, cost=cost, tracer=tracer, policy=policy,
             fault=fault, initial_colors=initial_colors,
+            resumed=initial_work is not None,
         )
         try:
             return run_plan_loop(

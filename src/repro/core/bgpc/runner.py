@@ -46,14 +46,14 @@ class BGPCAdapter:
         self.n_targets = bg.num_vertices
         self.n_nets = bg.num_nets
 
-    def make_vertex_color_kernel(self, policy):
-        return make_vertex_color_kernel(self.bg, policy, self.cost)
+    def make_vertex_color_kernel(self, policy, *, resumed=False):
+        return make_vertex_color_kernel(self.bg, policy, self.cost, resumed=resumed)
 
     def make_net_color_kernel(self, policy):
         return make_net_color_kernel(self.bg, self.cost, policy=policy)
 
-    def make_vertex_removal_kernel(self):
-        return make_vertex_removal_kernel(self.bg, self.cost)
+    def make_vertex_removal_kernel(self, *, resumed=False):
+        return make_vertex_removal_kernel(self.bg, self.cost, resumed=resumed)
 
     def make_net_removal_kernel(self):
         return make_net_removal_kernel(self.bg, self.cost)
@@ -62,7 +62,7 @@ class BGPCAdapter:
         """Constraint groups for the NumPy backend: the nets themselves."""
         return self.bg.net_to_vtxs
 
-    def process_spec(self):
+    def process_spec(self, *, resumed=False):
         """Shared-memory layout for the process backend.
 
         The four CSR arrays — plus the flattened two-hop cache when it
@@ -70,6 +70,8 @@ class BGPCAdapter:
         rebuild a zero-copy :class:`BipartiteGraph` over them and seed
         their two-hop memo from the shared arrays instead of re-flattening
         the whole structure per worker (see :mod:`repro.core.procworker`).
+        A ``resumed`` run ships the cache only if it already exists; its
+        workers otherwise walk nets per vertex.
         """
         from repro.graph.twohop import bgpc_twohop
 
@@ -79,7 +81,7 @@ class BGPCAdapter:
             "nptr": self.bg.net_to_vtxs.ptr,
             "nidx": self.bg.net_to_vtxs.idx,
         }
-        two = bgpc_twohop(self.bg)
+        two = bgpc_twohop(self.bg, build=not resumed)
         if two is not None:
             arrays["two_ptr"] = two.ptr
             arrays["two_idx"] = two.idx

@@ -51,12 +51,15 @@ def color_upper_bound(bg: BipartiteGraph) -> int:
     return int(degs.max(initial=0)) + 2
 
 
-def make_vertex_color_kernel(bg: BipartiteGraph, policy, cost: CostModel):
+def make_vertex_color_kernel(bg: BipartiteGraph, policy, cost: CostModel,
+                             *, resumed: bool = False):
     """BGPC-COLORWORKQUEUE-VERTEX (Alg. 4) with a pluggable color policy.
 
     Uses the flattened two-hop cache (one slice per task) when the graph is
-    small enough; falls back to the per-net traversal otherwise.  Both paths
-    charge identical cycle costs — the cache is host-side acceleration only.
+    small enough; falls back to the per-net traversal otherwise, and for a
+    ``resumed`` (frontier-queue) run unless the cache already exists.  Both
+    paths charge identical cycle costs — the cache is host-side
+    acceleration only.
     """
     from repro.graph.twohop import bgpc_twohop
 
@@ -64,7 +67,7 @@ def make_vertex_color_kernel(bg: BipartiteGraph, policy, cost: CostModel):
     nptr, nidx = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
     capacity = color_upper_bound(bg)
     edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
-    two = bgpc_twohop(bg)
+    two = bgpc_twohop(bg, build=not resumed)
 
     if two is not None:
         tptr, tidx = two.ptr, two.idx
@@ -107,7 +110,8 @@ def make_vertex_color_kernel(bg: BipartiteGraph, policy, cost: CostModel):
     return kernel
 
 
-def make_vertex_removal_kernel(bg: BipartiteGraph, cost: CostModel):
+def make_vertex_removal_kernel(bg: BipartiteGraph, cost: CostModel,
+                               *, resumed: bool = False):
     """BGPC-REMOVECONFLICTS-VERTEX (Alg. 5 with Alg. 3's requeue rule).
 
     A vertex ``w`` requeues itself iff some *smaller-id* vertex in its
@@ -115,14 +119,14 @@ def make_vertex_removal_kernel(bg: BipartiteGraph, cost: CostModel):
     the scan stops at the first such conflict (Alg. 3 line 6) — with the
     flattened cache, the cost is charged up to the end of the net segment
     containing that first conflict, matching the loop path's net-granular
-    early exit.
+    early exit.  ``resumed`` as in :func:`make_vertex_color_kernel`.
     """
     from repro.graph.twohop import bgpc_twohop
 
     vptr, vidx = bg.vtx_to_nets.ptr, bg.vtx_to_nets.idx
     nptr, nidx = bg.net_to_vtxs.ptr, bg.net_to_vtxs.idx
     edge, forbid = cost.edge_cost, cost.forbid_cost
-    two = bgpc_twohop(bg)
+    two = bgpc_twohop(bg, build=not resumed)
 
     if two is not None:
         tptr, tidx = two.ptr, two.idx

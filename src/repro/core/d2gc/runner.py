@@ -43,14 +43,14 @@ class D2GCAdapter:
         self.n_targets = g.num_vertices
         self.n_nets = g.num_vertices
 
-    def make_vertex_color_kernel(self, policy):
-        return make_vertex_color_kernel(self.g, policy, self.cost)
+    def make_vertex_color_kernel(self, policy, *, resumed=False):
+        return make_vertex_color_kernel(self.g, policy, self.cost, resumed=resumed)
 
     def make_net_color_kernel(self, policy):
         return make_net_color_kernel(self.g, self.cost, policy=policy)
 
-    def make_vertex_removal_kernel(self):
-        return make_vertex_removal_kernel(self.g, self.cost)
+    def make_vertex_removal_kernel(self, *, resumed=False):
+        return make_vertex_removal_kernel(self.g, self.cost, resumed=resumed)
 
     def make_net_removal_kernel(self):
         return make_net_removal_kernel(self.g, self.cost)
@@ -61,7 +61,7 @@ class D2GCAdapter:
 
         return d2gc_groups_csr(self.g)
 
-    def process_spec(self):
+    def process_spec(self, *, resumed=False):
         """Shared-memory layout for the process backend.
 
         The adjacency CSR — plus the flattened two-hop cache when it
@@ -69,7 +69,8 @@ class D2GCAdapter:
         rebuild a zero-copy :class:`Graph` over them (symmetry is known
         good by construction, so the re-check is skipped) and seed their
         two-hop memo from the shared arrays (see
-        :mod:`repro.core.procworker`).
+        :mod:`repro.core.procworker`).  A ``resumed`` run ships the cache
+        only if it already exists.
         """
         from repro.graph.twohop import d2gc_twohop
 
@@ -77,7 +78,7 @@ class D2GCAdapter:
             "aptr": self.g.adj.ptr,
             "aidx": self.g.adj.idx,
         }
-        two = d2gc_twohop(self.g)
+        two = d2gc_twohop(self.g, build=not resumed)
         if two is not None:
             arrays["two_ptr"] = two.ptr
             arrays["two_idx"] = two.idx

@@ -36,15 +36,17 @@ def d2gc_color_upper_bound(g: Graph) -> int:
     return int(total.max(initial=0)) + 2
 
 
-def make_vertex_color_kernel(g: Graph, policy, cost: CostModel):
+def make_vertex_color_kernel(g: Graph, policy, cost: CostModel,
+                             *, resumed: bool = False):
     """Vertex-based D2GC coloring: forbid the colors of ``nbor(w)`` and of
-    every ``nbor(u) \\ {w}`` for ``u ∈ nbor(w)``, then apply the policy."""
+    every ``nbor(u) \\ {w}`` for ``u ∈ nbor(w)``, then apply the policy.
+    A ``resumed`` run builds no two-hop cache (see the BGPC kernel)."""
     from repro.graph.twohop import d2gc_twohop
 
     ptr, idx = g.adj.ptr, g.adj.idx
     capacity = d2gc_color_upper_bound(g)
     edge, forbid, write = cost.edge_cost, cost.forbid_cost, cost.write_cost
-    two = d2gc_twohop(g)
+    two = d2gc_twohop(g, build=not resumed)
 
     if two is not None:
         tptr, tidx = two.ptr, two.idx
@@ -90,7 +92,8 @@ def make_vertex_color_kernel(g: Graph, policy, cost: CostModel):
     return kernel
 
 
-def make_vertex_removal_kernel(g: Graph, cost: CostModel):
+def make_vertex_removal_kernel(g: Graph, cost: CostModel,
+                               *, resumed: bool = False):
     """Vertex-based D2GC conflict removal with the ``w > u`` requeue rule.
 
     ``w`` requeues itself iff a smaller-id vertex within distance ≤ 2 holds
@@ -100,7 +103,7 @@ def make_vertex_removal_kernel(g: Graph, cost: CostModel):
 
     ptr, idx = g.adj.ptr, g.adj.idx
     edge, forbid = cost.edge_cost, cost.forbid_cost
-    two = d2gc_twohop(g)
+    two = d2gc_twohop(g, build=not resumed)
 
     if two is not None:
         tptr, tidx = two.ptr, two.idx

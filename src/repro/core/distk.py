@@ -117,8 +117,9 @@ class DistKAdapter:
         self._capacity = max_ball + 2
 
     # -- vertex-based ------------------------------------------------------
+    # The balls are built in __init__, so a resumed run has nothing to skip.
 
-    def make_vertex_color_kernel(self, policy):
+    def make_vertex_color_kernel(self, policy, *, resumed=False):
         full = self._full
         cost = self.cost
         capacity = self._capacity
@@ -137,7 +138,7 @@ class DistKAdapter:
 
         return kernel
 
-    def make_vertex_removal_kernel(self):
+    def make_vertex_removal_kernel(self, *, resumed=False):
         full = self._full
         cost = self.cost
         edge, forbid = cost.edge_cost, cost.forbid_cost

@@ -60,11 +60,13 @@ class ProblemAdapter(Protocol):
     #: Number of tasks in a net-based phase (|V_B| for BGPC, |V| for D2GC).
     n_nets: int
 
-    def make_vertex_color_kernel(self, policy) -> Callable: ...
+    # ``resumed``: the run starts from a frontier queue (``initial_work``),
+    # so the vertex kernels skip building whole-graph host-side caches.
+    def make_vertex_color_kernel(self, policy, *, resumed=False) -> Callable: ...
 
     def make_net_color_kernel(self, policy) -> Callable: ...
 
-    def make_vertex_removal_kernel(self) -> Callable: ...
+    def make_vertex_removal_kernel(self, *, resumed=False) -> Callable: ...
 
     def make_net_removal_kernel(self) -> Callable: ...
 

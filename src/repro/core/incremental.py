@@ -152,9 +152,10 @@ def recolor_incremental(
         As in :func:`repro.core.bgpc.color_bgpc`; backends that cannot
         resume a partial coloring (e.g. ``"numpy"``) are rejected.
     validate:
-        Skip the O(E·d) base-coloring validation when the caller already
-        guarantees it (the service trusts its own cache).  The *result* is
-        always validated against the mutated graph.
+        Skip the base-coloring validation (one sort of every net
+        membership) when the caller already guarantees it (the service
+        trusts its own cache).  The *result* is always validated against
+        the whole mutated graph.
     mutated:
         Pass ``apply_delta(bg, delta)`` if already materialized (the
         service builds it for re-fingerprinting) to avoid applying the

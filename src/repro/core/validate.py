@@ -1,8 +1,10 @@
 """Validity checking for BGPC and D2GC colorings.
 
 These are the reference oracles the test suite and the iteration drivers'
-postconditions rely on.  They are vectorized per net / per middle vertex and
-independent of the kernels they check (the kernels never call them).
+postconditions rely on.  The BGPC checks are one ``lexsort`` over every
+(net, color) membership entry; the D2GC checks are vectorized per middle
+vertex.  All are independent of the kernels they check (the kernels never
+call them).
 
 Validity definitions (paper §I–II):
 
@@ -49,29 +51,42 @@ def _check_complete(colors: np.ndarray, n: int) -> None:
         raise InvalidColoringError(f"negative color {colors[bad]} at vertex {bad}")
 
 
+def _net_color_runs(bg: BipartiteGraph, colors: np.ndarray):
+    """Colored membership entries sorted by (net, color), ties in row order.
+
+    Returns ``(nets, members, same)``: the sorted entries' nets and
+    members, and ``same[k]`` — entry ``k + 1`` shares entry ``k``'s net
+    and color.  Entries of ``UNCOLORED`` vertices are dropped.
+    """
+    n2v = bg.net_to_vtxs
+    members = n2v.idx
+    nets = np.repeat(np.arange(n2v.nrows, dtype=np.int64), n2v.degrees())
+    cvals = colors[members]
+    keep = cvals != UNCOLORED
+    nets, members, cvals = nets[keep], members[keep], cvals[keep]
+    order = np.lexsort((cvals, nets))
+    nets, members, cvals = nets[order], members[order], cvals[order]
+    same = (nets[1:] == nets[:-1]) & (cvals[1:] == cvals[:-1])
+    return nets, members, same
+
+
 def find_bgpc_conflict(
     bg: BipartiteGraph, colors: np.ndarray
 ) -> tuple[int, int, int] | None:
     """First BGPC conflict ``(u, w, net)`` with ``u < w``, or ``None``.
 
+    "First" is the smallest net holding a clash, then the smallest clashing
+    color in it, then that color's first two members in row order.
     Vertices still carrying ``UNCOLORED`` are skipped, so this can be used
     on partial colorings (as after a conflict-removal phase).
     """
-    n2v = bg.net_to_vtxs
-    for v, members in n2v.iter_rows():
-        cvals = colors[members]
-        mask = cvals != UNCOLORED
-        vals = cvals[mask]
-        if vals.size < 2:
-            continue
-        order = np.argsort(vals, kind="stable")
-        sorted_vals = vals[order]
-        dup = np.nonzero(sorted_vals[1:] == sorted_vals[:-1])[0]
-        if dup.size:
-            who = members[mask][order]
-            a, b = int(who[dup[0]]), int(who[dup[0] + 1])
-            return (min(a, b), max(a, b), int(v))
-    return None
+    nets, members, same = _net_color_runs(bg, colors)
+    dup = np.flatnonzero(same)
+    if not dup.size:
+        return None
+    k = int(dup[0])
+    a, b = int(members[k]), int(members[k + 1])
+    return (min(a, b), max(a, b), int(nets[k]))
 
 
 def validate_bgpc(bg: BipartiteGraph, colors: np.ndarray) -> None:
@@ -103,18 +118,12 @@ def count_bgpc_conflict_vertices(bg: BipartiteGraph, colors: np.ndarray) -> int:
     uncolored *after* removal, which equals the clash losers; this counts
     all clash participants).
     """
+    _, members, same = _net_color_runs(bg, colors)
+    clash = np.zeros(members.size, dtype=bool)
+    clash[:-1] |= same
+    clash[1:] |= same
     involved = np.zeros(bg.num_vertices, dtype=bool)
-    for _, members in bg.net_to_vtxs.iter_rows():
-        cvals = colors[members]
-        mask = cvals != UNCOLORED
-        vals = cvals[mask]
-        if vals.size < 2:
-            continue
-        uniq, counts = np.unique(vals, return_counts=True)
-        dup_colors = uniq[counts > 1]
-        if dup_colors.size:
-            clash = np.isin(cvals, dup_colors) & mask
-            involved[members[clash]] = True
+    involved[members[clash]] = True
     return int(involved.sum())
 
 

@@ -20,7 +20,13 @@ from repro.core.bgpc.vertex import make_vertex_color_kernel
 from repro.core.plan import PhasePlan
 from repro.core.policies import FirstFit
 from repro.dist.mpi import ClusterModel
-from repro.dist.superstep import DistributedResult, _result, _setup, run_supersteps
+from repro.dist.superstep import (
+    DistributedResult,
+    _result,
+    _setup,
+    _totals,
+    run_supersteps,
+)
 from repro.errors import ColoringError
 from repro.graph.bipartite import BipartiteGraph
 from repro.machine.cost import CostModel
@@ -76,6 +82,7 @@ def hybrid_bgpc(
         return picks, compute, words, [int(w > 0) for w in words]
 
     pending = np.arange(bg.num_vertices, dtype=np.int64)
+    start = _totals(cluster)
     steps = run_supersteps(bg, part, cluster, colors, pending, batch, color_slices)
     conflicts = sum(len(losers) for _, losers, _ in steps)
-    return _result(colors, cluster, is_boundary, conflicts, 0.0)
+    return _result(colors, cluster, start, is_boundary, conflicts, 0.0)

@@ -238,19 +238,31 @@ def _setup(bg, ranks, batch, partition, cluster):
     return cluster, part, boundary_mask(bg, part), colors
 
 
-def _result(colors, cluster, is_boundary, conflicts, cycles) -> DistributedResult:
-    """The run's :class:`DistributedResult`; ``cycles`` adds to the cluster's."""
+def _totals(cluster) -> tuple:
+    """The cluster's running ``(supersteps, words, messages, cycles)``."""
+    return (cluster.num_supersteps, cluster.total_words,
+            cluster.total_messages, cluster.total_cycles)
+
+
+def _result(colors, cluster, start, is_boundary, conflicts,
+            cycles) -> DistributedResult:
+    """The run's :class:`DistributedResult`: what ``cluster`` charged since
+    the ``start`` snapshot of :func:`_totals` (a cluster may serve several
+    runs), with ``cycles`` added."""
+    supersteps, words, messages, charged = (
+        now - before for now, before in zip(_totals(cluster), start)
+    )
     return DistributedResult(
         colors=colors,
         num_colors=int(colors.max()) + 1 if colors.size else 0,
         ranks=cluster.ranks,
         interior=int((~is_boundary).sum()),
         boundary=int(is_boundary.sum()),
-        supersteps=cluster.num_supersteps,
+        supersteps=supersteps,
         conflicts=conflicts,
-        comm_words=cluster.total_words,
-        comm_messages=cluster.total_messages,
-        cycles=cycles + cluster.total_cycles,
+        comm_words=words,
+        comm_messages=messages,
+        cycles=cycles + charged,
     )
 
 
@@ -279,7 +291,8 @@ def distributed_bgpc(
     cluster:
         Optional :class:`~repro.dist.mpi.ClusterModel` cost model
         (fresh default otherwise).  Observational only — colors and
-        supersteps never depend on it.
+        supersteps never depend on it.  It may serve several runs: it keeps
+        the running totals, and each result reports its own run's share.
     """
     cluster, part, is_boundary, colors = _setup(bg, ranks, batch, partition, cluster)
 
@@ -310,6 +323,8 @@ def distributed_bgpc(
         return picks, compute, [int(mine.size) for mine in slices], messages
 
     pending = np.nonzero(is_boundary)[0].astype(np.int64)
+    start = _totals(cluster)
     steps = run_supersteps(bg, part, cluster, colors, pending, batch, color_slices)
     conflicts = sum(len(losers) for _, losers, _ in steps)
-    return _result(colors, cluster, is_boundary, conflicts, float(max(interior_scans)))
+    return _result(colors, cluster, start, is_boundary, conflicts,
+                   float(max(interior_scans)))

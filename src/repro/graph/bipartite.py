@@ -5,10 +5,14 @@ holds the *vertices* to be colored (matrix columns in the UFL experiments)
 and the ``V_B`` side holds the *nets* (matrix rows).  BGPC colors ``V_A`` so
 that any two vertices sharing a net receive distinct colors.
 
-Both CSR orientations are materialized because the kernels need them:
+Both CSR orientations are available because the kernels need them:
 
 * ``vtx_to_nets`` — ``nets(u)`` for a vertex ``u`` (vertex-based kernels);
 * ``net_to_vtxs`` — ``vtxs(v)`` for a net ``v`` (net-based kernels, Algs 6–8).
+
+A graph built from the vertex→net side derives ``net_to_vtxs`` on first
+access: a service cache hit only hashes ``vtx_to_nets`` and never pays the
+transpose.
 """
 
 from __future__ import annotations
@@ -30,34 +34,42 @@ class BipartiteGraph:
         CSR with one row per ``V_A`` vertex listing its adjacent nets.
     net_to_vtxs:
         CSR with one row per ``V_B`` net listing its adjacent vertices.
-        Must be the exact transpose of ``vtx_to_nets``; use
-        :meth:`from_vtx_to_nets` to derive it automatically.
+        Must be the exact transpose of ``vtx_to_nets``; ``None`` (what
+        :meth:`from_vtx_to_nets` passes) derives it on first access.
     """
 
-    __slots__ = ("vtx_to_nets", "net_to_vtxs", "__weakref__")
+    __slots__ = ("vtx_to_nets", "_net_to_vtxs", "__weakref__")
 
-    def __init__(self, vtx_to_nets: CSR, net_to_vtxs: CSR):
-        if vtx_to_nets.ncols != net_to_vtxs.nrows:
-            raise GraphError(
-                "vtx_to_nets.ncols must equal net_to_vtxs.nrows "
-                f"({vtx_to_nets.ncols} != {net_to_vtxs.nrows})"
-            )
-        if net_to_vtxs.ncols != vtx_to_nets.nrows:
-            raise GraphError(
-                "net_to_vtxs.ncols must equal vtx_to_nets.nrows "
-                f"({net_to_vtxs.ncols} != {vtx_to_nets.nrows})"
-            )
-        if vtx_to_nets.nnz != net_to_vtxs.nnz:
-            raise GraphError("the two orientations disagree on edge count")
+    def __init__(self, vtx_to_nets: CSR, net_to_vtxs: CSR | None = None):
+        if net_to_vtxs is not None:
+            if vtx_to_nets.ncols != net_to_vtxs.nrows:
+                raise GraphError(
+                    "vtx_to_nets.ncols must equal net_to_vtxs.nrows "
+                    f"({vtx_to_nets.ncols} != {net_to_vtxs.nrows})"
+                )
+            if net_to_vtxs.ncols != vtx_to_nets.nrows:
+                raise GraphError(
+                    "net_to_vtxs.ncols must equal vtx_to_nets.nrows "
+                    f"({net_to_vtxs.ncols} != {vtx_to_nets.nrows})"
+                )
+            if vtx_to_nets.nnz != net_to_vtxs.nnz:
+                raise GraphError("the two orientations disagree on edge count")
         self.vtx_to_nets = vtx_to_nets
-        self.net_to_vtxs = net_to_vtxs
+        self._net_to_vtxs = net_to_vtxs
+
+    @property
+    def net_to_vtxs(self) -> CSR:
+        """The net→vertex CSR (the transpose, built on first access)."""
+        if self._net_to_vtxs is None:
+            self._net_to_vtxs = self.vtx_to_nets.transpose()
+        return self._net_to_vtxs
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_vtx_to_nets(cls, vtx_to_nets: CSR) -> "BipartiteGraph":
-        """Build both orientations from the vertex→net CSR."""
-        return cls(vtx_to_nets, vtx_to_nets.transpose())
+        """Wrap the vertex→net CSR; the other side is derived on demand."""
+        return cls(vtx_to_nets)
 
     @classmethod
     def from_net_to_vtxs(cls, net_to_vtxs: CSR) -> "BipartiteGraph":
@@ -74,7 +86,7 @@ class BipartiteGraph:
     @property
     def num_nets(self) -> int:
         """|V_B|: the number of nets (matrix rows)."""
-        return self.net_to_vtxs.nrows
+        return self.vtx_to_nets.ncols
 
     @property
     def num_edges(self) -> int:

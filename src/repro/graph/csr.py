@@ -129,29 +129,36 @@ class CSR:
 
     # -- structural predicates -------------------------------------------
 
+    def _row_steps(self) -> np.ndarray:
+        """``idx[k + 1] - idx[k]`` for every pair of neighbours in one row."""
+        steps = np.diff(self.idx)
+        starts = self.ptr[1:-1]
+        starts = starts[(starts > 0) & (starts < self.nnz)]
+        inner = np.ones(steps.size, dtype=bool)
+        inner[starts - 1] = False
+        return steps[inner]
+
     def has_sorted_rows(self) -> bool:
         """True when every adjacency list is strictly increasing."""
-        for _, row in self.iter_rows():
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                return False
-        return True
+        return not np.any(self._row_steps() <= 0)
 
     def has_duplicates(self) -> bool:
         """True when some adjacency list contains a repeated column."""
-        for _, row in self.iter_rows():
-            if row.size != np.unique(row).size:
-                return True
-        return False
+        return bool(np.any(self.sorted()._row_steps() == 0))
 
     # -- transforms -------------------------------------------------------
 
     def sorted(self) -> "CSR":
-        """Return an equivalent CSR with each adjacency list sorted."""
-        idx = self.idx.copy()
-        for i in range(self.nrows):
-            lo, hi = self.ptr[i], self.ptr[i + 1]
-            idx[lo:hi] = np.sort(idx[lo:hi])
-        return CSR(self.ptr.copy(), idx, self.ncols)
+        """An equivalent CSR with each adjacency list sorted ascending.
+
+        Returns ``self`` when the rows are already sorted (the structure is
+        immutable); otherwise one ``lexsort`` over (row, column) sorts all
+        rows at once.
+        """
+        if not np.any(self._row_steps() < 0):
+            return self
+        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.degrees())
+        return CSR(self.ptr, self.idx[np.lexsort((self.idx, rows))], self.ncols)
 
     def transpose(self) -> "CSR":
         """Return the transposed structure (column-wise adjacency).
@@ -180,13 +187,9 @@ class CSR:
         perm = np.asarray(perm, dtype=np.int64)
         if perm.shape != (self.nrows,) or np.any(np.sort(perm) != np.arange(self.nrows)):
             raise GraphError("perm must be a permutation of range(nrows)")
-        degs = self.degrees()[perm]
         nptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.cumsum(degs, out=nptr[1:])
-        nidx = np.empty(self.nnz, dtype=np.int64)
-        for new_i, old_i in enumerate(perm):
-            nidx[nptr[new_i] : nptr[new_i + 1]] = self.row(old_i)
-        return CSR(nptr, nidx, self.ncols)
+        np.cumsum(self.degrees()[perm], out=nptr[1:])
+        return CSR(nptr, self.take_rows(perm)[0], self.ncols)
 
     def relabel_cols(self, mapping: np.ndarray) -> "CSR":
         """Return a CSR with every column index ``j`` replaced by ``mapping[j]``."""

@@ -3,9 +3,9 @@
 Production graphs change; :class:`GraphDelta` is the canonical description
 of one change set — ``(vertex, net)`` edge insertions and deletions — and
 :func:`apply_delta` materializes the mutated :class:`BipartiteGraph` by
-rebuilding both CSR orientations (the containers stay immutable; a delta
-produces a *new* graph, so fingerprints and two-hop caches keyed on the
-old object remain correct).
+splicing the change into the vertex→net CSR (the containers stay
+immutable; a delta produces a *new* graph, so fingerprints and two-hop
+caches keyed on the old object remain correct).
 
 :func:`delta_frontier` computes the set of vertices whose color an
 incremental recoloring (:func:`repro.core.incremental.recolor_incremental`)
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.build import csr_from_edges
+from repro.graph.csr import CSR
 
 __all__ = ["GraphDelta", "apply_delta", "delta_frontier"]
 
@@ -159,7 +159,9 @@ def apply_delta(bg: BipartiteGraph, delta: GraphDelta) -> BipartiteGraph:
     ids beyond the current cardinalities — the sides grow to ``max id + 1``
     — but the sides never shrink, even if a deletion empties the tail row
     (ids stay stable across epochs, which is what keeps old colorings
-    index-compatible).
+    index-compatible).  The base's rows may be unsorted or repeat an entry
+    (the wire form allows both); the mutated graph lists every edge once,
+    each row sorted.
     """
     if not isinstance(delta, GraphDelta):
         raise GraphError(
@@ -181,12 +183,15 @@ def apply_delta(bg: BipartiteGraph, delta: GraphDelta) -> BipartiteGraph:
         )
     stride = max(num_nets, 1)
 
-    cur_vs = np.repeat(
-        np.arange(bg.num_vertices, dtype=np.int64),
-        np.diff(bg.vtx_to_nets.ptr),
-    )
-    cur_keys = _edge_keys(cur_vs, bg.vtx_to_nets.idx, stride)
-    # CSR rows are sorted, so (vertex, net) keys are globally sorted already.
+    # With every row sorted, the (vertex, net) keys are globally sorted:
+    # membership is one searchsorted and insertion one np.insert, with no
+    # re-sort of the edges.  The wire form admits unsorted rows, which
+    # sorted() puts in order first.
+    v2n = bg.vtx_to_nets.sorted()
+    cur_vs = np.repeat(np.arange(bg.num_vertices, dtype=np.int64), v2n.degrees())
+    cur_keys = _edge_keys(cur_vs, v2n.idx, stride)
+    # An edge is in the graph once, however often its row repeats it.
+    cur_keys = np.delete(cur_keys, np.flatnonzero(cur_keys[1:] == cur_keys[:-1]) + 1)
 
     if dels.size:
         del_keys = _edge_keys(dels[:, 0], dels[:, 1], stride)
@@ -206,12 +211,11 @@ def apply_delta(bg: BipartiteGraph, delta: GraphDelta) -> BipartiteGraph:
         if present.any():
             u, v = (int(x) for x in ins[np.nonzero(present)[0][0]])
             raise GraphError(f"delta inserts an existing edge ({u}, {v})")
-        cur_keys = np.concatenate([cur_keys, ins_keys])
+        cur_keys = np.insert(cur_keys, pos, ins_keys)
 
-    new_vs = cur_keys // stride
-    new_ns = cur_keys % stride
-    v2n = csr_from_edges(new_vs, new_ns, num_vertices, num_nets)
-    return BipartiteGraph.from_vtx_to_nets(v2n)
+    ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cur_keys // stride, minlength=num_vertices), out=ptr[1:])
+    return BipartiteGraph.from_vtx_to_nets(CSR(ptr, cur_keys % stride, num_nets))
 
 
 def delta_frontier(mutated: BipartiteGraph, delta: GraphDelta) -> np.ndarray:

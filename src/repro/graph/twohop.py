@@ -15,7 +15,9 @@ This is purely a *host-side* acceleration: the simulated machine still
 charges one ``edge_cost`` per entry touched, exactly as if the kernel had
 walked ``nets(w)``/``vtxs(v)`` pointer by pointer.  The caches are memoized
 on the graph objects and skipped above :data:`MAX_CACHE_ENTRIES` (falling
-back to the loop kernels) to bound memory.
+back to the loop kernels) to bound memory.  Only a run from the full vertex
+queue builds one: a run resumed on a frontier (incremental recoloring)
+touches a few rows and walks them through the loop kernels instead.
 """
 
 from __future__ import annotations
@@ -123,10 +125,16 @@ def _flatten(row_lists_ptr, row_lists_idx, inner_ptr, inner_idx, n_rows) -> TwoH
     return TwoHop(ptr, idx, seg_ptr, seg_end)
 
 
-def bgpc_twohop(bg: BipartiteGraph) -> TwoHop | None:
-    """Two-hop structure of a BGPC instance (memoized; ``None`` if too big)."""
-    if bg in _bgpc_cache:
-        return _bgpc_cache[bg]
+def bgpc_twohop(bg: BipartiteGraph, *, build: bool = True) -> TwoHop | None:
+    """Two-hop structure of a BGPC instance (memoized; ``None`` if too big).
+
+    ``build=False`` only looks the memo up: a run resumed on a frontier
+    queue takes a structure that already exists but never pays the
+    whole-graph flatten for a few dozen vertices (``None`` sends the
+    kernels down their per-net loop path).
+    """
+    if bg in _bgpc_cache or not build:
+        return _bgpc_cache.get(bg)
     two = _flatten(
         bg.vtx_to_nets.ptr,
         bg.vtx_to_nets.idx,
@@ -154,15 +162,16 @@ def seed_d2gc_twohop(g: Graph, two: TwoHop | None) -> None:
     _d2gc_cache[g] = two
 
 
-def d2gc_twohop(g: Graph) -> TwoHop | None:
+def d2gc_twohop(g: Graph, *, build: bool = True) -> TwoHop | None:
     """Closed two-hop structure of a D2GC instance.
 
     The concatenation for vertex ``w`` is ``nbor(w)`` (the distance-1 ring,
     as its own leading segment) followed by ``nbor(u)`` for each
     ``u ∈ nbor(w)`` — matching the scan order of the loop kernels.
+    ``build=False`` only looks the memo up (see :func:`bgpc_twohop`).
     """
-    if g in _d2gc_cache:
-        return _d2gc_cache[g]
+    if g in _d2gc_cache or not build:
+        return _d2gc_cache.get(g)
     n = g.num_vertices
     ptr_a, idx_a = g.adj.ptr, g.adj.idx
     deg = np.diff(ptr_a)

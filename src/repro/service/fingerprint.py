@@ -46,7 +46,7 @@ def graph_fingerprint(bg: BipartiteGraph) -> str:
 
 
 def request_key(
-    bg: BipartiteGraph,
+    bg: BipartiteGraph | str,
     *,
     algorithm: str,
     policy: str = "U",
@@ -56,6 +56,10 @@ def request_key(
     fastpath_mode: str = "exact",
 ) -> str:
     """The full cache key of one coloring request.
+
+    ``bg`` is the graph, or its :func:`graph_fingerprint` when the caller
+    already holds it (a delta names its base that way), which skips the
+    hash.
 
     ``algorithm`` is canonicalized through the schedule grammar
     (``"v-n∞"`` and ``"V-Ninf"`` share a key); adaptive controller names
@@ -83,4 +87,5 @@ def request_key(
             fastpath_mode,
         )
     )
-    return f"{graph_fingerprint(bg)}:{config}"
+    fingerprint = bg if isinstance(bg, str) else graph_fingerprint(bg)
+    return f"{fingerprint}:{config}"

@@ -31,7 +31,8 @@ through the standard :class:`~repro.obs.tracer.Tracer` protocol.
 economy to evolving graphs: the service remembers the graphs it has
 colored (a bounded fingerprint → graph store), so a client can send just
 an edge delta against a cached fingerprint instead of re-uploading and
-re-coloring the whole graph.  The mutated graph is re-fingerprinted, the
+re-coloring the whole graph.  The mutated graph is fingerprinted (the
+base's fingerprint is the request's own, so one hash per delta), the
 frontier is recolored incrementally
 (:func:`repro.core.incremental.recolor_incremental`), and the result is
 cached under the *new* key — the next epoch chains off it.  Empty deltas
@@ -434,7 +435,7 @@ class ColoringService:
             raise ServiceError(f"threads must be >= 1, got {threads}")
         return base, algorithm, backend, threads
 
-    def _delta_key(self, graph: BipartiteGraph, algorithm: str,
+    def _delta_key(self, graph: BipartiteGraph | str, algorithm: str,
                    request: DeltaRequest, backend: str, threads: int) -> str:
         return request_key(
             graph,
@@ -464,7 +465,11 @@ class ColoringService:
         self.requests += 1
         self.delta_requests += 1
         base, algorithm, backend, threads = self.resolve_delta(request)
-        base_key = self._delta_key(base, algorithm, request, backend, threads)
+        # The store files every graph under its fingerprint, so the request
+        # names the base's fingerprint: only the mutated graph is hashed.
+        base_key = self._delta_key(
+            request.fingerprint, algorithm, request, backend, threads
+        )
         base_result = self.cache.get(base_key)
         if base_result is None:
             raise ServiceError(

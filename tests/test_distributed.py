@@ -270,6 +270,31 @@ class TestSharedSetup:
         assert result.ranks == 2
         validate_bgpc(instance, result.colors)
 
+    def test_reused_cluster_reports_each_run_alone(self, instance):
+        # One cluster serving two identical runs: each result reports only
+        # its own supersteps and traffic; the cluster keeps the totals.
+        from repro.dist import hybrid_bgpc
+
+        for run in (distributed_bgpc, hybrid_bgpc):
+            cluster = ClusterModel(2)
+            first = run(instance, batch=20, cluster=cluster)
+            second = run(instance, batch=20, cluster=cluster)
+            fresh = run(instance, batch=20, cluster=ClusterModel(2))
+            for result in (first, second):
+                assert (
+                    result.supersteps,
+                    result.comm_words,
+                    result.comm_messages,
+                    result.cycles,
+                ) == (
+                    fresh.supersteps,
+                    fresh.comm_words,
+                    fresh.comm_messages,
+                    fresh.cycles,
+                )
+            assert cluster.num_supersteps == 2 * fresh.supersteps
+            assert cluster.total_words == 2 * fresh.comm_words
+
     def test_hybrid_interior_is_a_partition_statistic(self):
         # Every hybrid vertex takes the supersteps, even on an edgeless
         # graph where the partition calls all of them interior.

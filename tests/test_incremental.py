@@ -344,8 +344,8 @@ class TestScheduleResolution:
         built = {}
         make_kernel = BGPCAdapter.make_vertex_color_kernel
 
-        def spy_make_kernel(self, policy):
-            kernel = make_kernel(self, policy)
+        def spy_make_kernel(self, policy, **kwargs):
+            kernel = make_kernel(self, policy, **kwargs)
             built[kernel] = type(policy).__name__
             return kernel
 
@@ -372,3 +372,91 @@ class TestScheduleResolution:
         # Iteration 0 runs the base B1 policy, every later one the B2 switch.
         assert len(ran) >= 2
         assert ran == ["B1Policy"] + ["B2Policy"] * (len(ran) - 1)
+
+
+# -- frontier runs and the flattened two-hop --------------------------------
+
+
+class TestFrontierTwoHop:
+    """A resumed run builds no whole-graph two-hop structure.
+
+    Its vertex kernels use a memoized structure when one exists and the
+    per-net loop otherwise; both charge the same cycles and counters.
+    """
+
+    CLIQUE = GraphDelta(insert=[(v, 40) for v in range(0, 160, 4)])
+
+    @staticmethod
+    def _run(bg, base, algorithm, threads, seed):
+        from repro.graph.twohop import bgpc_twohop, seed_bgpc_twohop
+
+        mutated = apply_delta(bg, TestFrontierTwoHop.CLIQUE)
+        if seed == "built":
+            bgpc_twohop(mutated)
+        elif seed == "none":
+            seed_bgpc_twohop(mutated, None)
+        inc = recolor_incremental(
+            bg, base, TestFrontierTwoHop.CLIQUE, algorithm=algorithm,
+            threads=threads, mutated=mutated,
+        )
+        return mutated, inc.result
+
+    @pytest.mark.parametrize("threads", [1, 16])
+    @pytest.mark.parametrize("algorithm", ["V-V", "V-V-64D", "V-N1", "N1-N2"])
+    def test_seeded_and_loop_paths_identical(self, golden_graph, algorithm,
+                                             threads):
+        from repro.graph import twohop
+
+        base = color_bgpc(golden_graph, algorithm="V-V", threads=threads).colors
+        runs = {
+            seed: self._run(golden_graph, base, algorithm, threads, seed)
+            for seed in ("built", "none", "default")
+        }
+        mutated, default = runs["default"]
+        assert mutated not in twohop._bgpc_cache
+        for seed in ("built", "none"):
+            result = runs[seed][1]
+            assert result.colors.tobytes() == default.colors.tobytes()
+            assert result.cycles == default.cycles
+            assert result.work_metrics == default.work_metrics
+            assert [
+                (r.queue_size, r.conflicts, r.cycles) for r in result.iterations
+            ] == [(r.queue_size, r.conflicts, r.cycles) for r in default.iterations]
+
+    def test_process_spec_ships_two_hop_only_when_it_exists(self, golden_graph):
+        from repro.core.bgpc.runner import BGPCAdapter
+        from repro.graph import twohop
+        from repro.machine.cost import CostModel
+
+        mutated = apply_delta(golden_graph, self.CLIQUE)
+        adapter = BGPCAdapter(mutated, CostModel())
+        assert "two_ptr" not in adapter.process_spec(resumed=True)["arrays"]
+        assert mutated not in twohop._bgpc_cache
+        assert "two_ptr" in adapter.process_spec()["arrays"]
+        assert "two_ptr" in adapter.process_spec(resumed=True)["arrays"]
+
+    def test_d2gc_resumed_run_builds_no_two_hop(self):
+        from repro.core.d2gc.runner import D2GCAdapter, color_d2gc
+        from repro.core.driver import run_speculative
+        from repro.datasets import random_graph
+        from repro.graph import twohop
+        from repro.machine.cost import CostModel
+        from repro.types import UNCOLORED
+
+        colors = color_d2gc(random_graph(60, 200, seed=4), algorithm="V-V",
+                            threads=4).colors
+        colors[::5] = UNCOLORED
+        results = []
+        for seed in ("built", "default"):
+            g = random_graph(60, 200, seed=4)
+            if seed == "built":
+                twohop.d2gc_twohop(g)
+            results.append(run_speculative(
+                D2GCAdapter(g, CostModel()), "V-V", threads=4,
+                initial_colors=colors,
+                initial_work=np.flatnonzero(colors == UNCOLORED),
+            ))
+        assert g not in twohop._d2gc_cache
+        built, default = results
+        assert built.colors.tobytes() == default.colors.tobytes()
+        assert (built.cycles, built.work_metrics) == (default.cycles, default.work_metrics)

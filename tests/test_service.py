@@ -20,13 +20,14 @@ import pytest
 
 from repro.core.backends import backend_names
 from repro.core.compiled import PURE_ENV, numba_available
+from repro.core.validate import validate_bgpc
 from repro.errors import ServiceError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.build import bipartite_from_edges
 from repro.graph.csr import CSR
 from repro.obs.tracer import RecordingTracer
 from repro.obs.work import WORK_METRICS
-from repro.graph.delta import GraphDelta
+from repro.graph.delta import GraphDelta, apply_delta
 from repro.service import (
     ColoringCache,
     ColoringRequest,
@@ -694,6 +695,60 @@ class TestDeltaOp:
         ):
             with pytest.raises(ServiceError, match=pattern):
                 delta_from_wire(bad)
+
+    def test_base_sent_with_unsorted_rows(self):
+        # The wire CSR form accepts unsorted rows; vertex 0 lists nets
+        # [2, 0].  Deltas against such a base must see both edges.
+        wire = {"format": "csr", "ptr": [0, 2, 3, 4], "idx": [2, 0, 1, 2],
+                "num_nets": 3}
+        graph = graph_from_wire(wire)
+        sorted_twin = bipartite_from_edges(
+            [(0, 0), (0, 2), (1, 1), (2, 2)], num_vertices=3, num_nets=3
+        )
+
+        async def run():
+            async with ColoringService() as service:
+                await service.submit(ColoringRequest(graph=graph, **self.CONFIG))
+                fp = graph_fingerprint(graph)
+                out = {}
+                for edge in ((0, 0), (0, 2)):
+                    out[edge] = await service.submit_delta(
+                        self._delta_req(fp, GraphDelta(delete=[edge]))
+                    )
+                with pytest.raises(ServiceError, match=r"existing edge \(0, 0\)"):
+                    await service.submit_delta(
+                        self._delta_req(fp, GraphDelta(insert=[(0, 0)]))
+                    )
+                out["insert"] = await service.submit_delta(
+                    self._delta_req(fp, GraphDelta(insert=[(0, 1)]))
+                )
+                return out
+
+        out = _run(run())
+        assert graph_fingerprint(graph) == graph_fingerprint(sorted_twin)
+        for edge in ((0, 0), (0, 2)):
+            expected = apply_delta(sorted_twin, GraphDelta(delete=[edge]))
+            assert out[edge].key.split(":", 1)[0] == graph_fingerprint(expected)
+        mutated = apply_delta(sorted_twin, GraphDelta(insert=[(0, 1)]))
+        assert out["insert"].key.split(":", 1)[0] == graph_fingerprint(mutated)
+        validate_bgpc(mutated, out["insert"].result.colors)
+
+    def test_delta_leaves_no_two_hop_for_the_mutated_graph(self, bg):
+        from repro.graph import twohop
+
+        async def run():
+            async with ColoringService() as service:
+                await service.submit(ColoringRequest(graph=bg, **self.CONFIG))
+                resp = await service.submit_delta(
+                    self._delta_req(
+                        graph_fingerprint(bg), GraphDelta(insert=[(0, 1)])
+                    )
+                )
+                return resp, service._graphs[resp.key.split(":", 1)[0]]
+
+        resp, mutated = _run(run())
+        assert resp.frontier_size > 0 and sum(resp.work_metrics.values()) > 0
+        assert mutated not in twohop._bgpc_cache
 
     def test_wire_round_trip(self, bg):
         def work(host, port):
